@@ -27,7 +27,10 @@
 // workload and prints one row each. --json appends the same rows to a
 // JSON report (CI archives BENCH_serve.json); each row also carries the
 // SERVER-side queue-wait quantiles (server_queue_p50_us/p99/p999),
-// fetched over the wire with the METRICS opcode after the timed run.
+// fetched over the wire with the METRICS opcode after the timed run, and
+// server_inline_share: the share of the run's QUERY frames the event loop
+// answered on its own thread (server.inline_frames_total over
+// server.op.query.frames_total, both as deltas over the timed run).
 //
 // --compare-metrics is the observability overhead gate: it drives the
 // identical workload with metrics recording ON and then OFF (the runtime
@@ -95,6 +98,15 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
   *value = arg + prefix.size();
   return true;
+}
+
+/// A counter's value in a METRICS snapshot; 0 when absent.
+uint64_t CounterValue(const obs::MetricsSnapshot& snapshot,
+                      std::string_view name) {
+  for (const auto& [counter, value] : snapshot.counters) {
+    if (counter == name) return value;
+  }
+  return 0;
 }
 
 double Percentile(std::vector<double>* sorted_into, double fraction) {
@@ -281,6 +293,16 @@ int RunMode(const Config& config, bool legacy, const std::string& host_in,
     conn.end = std::min(conn.cursor + slice, config.query_keys);
     shards[c % driver_threads].push_back(conn);
   }
+  // Counter baseline for the run's deltas (best effort, like the fetch
+  // after the run).
+  ShbfClient::ServerMetrics metrics_before;
+  {
+    ShbfClient client;
+    if (!client.Connect(host, port).ok() ||
+        !client.Metrics(&metrics_before).ok()) {
+      metrics_before = {};
+    }
+  }
   WallTimer timer;
   std::vector<std::thread> drivers;
   for (size_t t = 0; t < driver_threads; ++t) {
@@ -345,6 +367,16 @@ int RunMode(const Config& config, bool legacy, const std::string& host_in,
         row.Set("server_queue_p50_us", queue_wait->Quantile(0.50))
             .Set("server_queue_p99_us", queue_wait->Quantile(0.99))
             .Set("server_queue_p999_us", queue_wait->Quantile(0.999));
+      }
+      const auto delta = [&](std::string_view name) {
+        return CounterValue(server_metrics.snapshot, name) -
+               CounterValue(metrics_before.snapshot, name);
+      };
+      const uint64_t query_frames = delta("server.op.query.frames_total");
+      if (query_frames != 0) {
+        row.Set("server_inline_share",
+                static_cast<double>(delta("server.inline_frames_total")) /
+                    static_cast<double>(query_frames));
       }
     }
     metrics_client.Close();

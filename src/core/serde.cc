@@ -40,7 +40,7 @@ void WriteKeyList(ByteWriter* writer, const std::vector<std::string>& keys) {
   }
 }
 
-bool ReadKeyList(ByteReader* reader, std::vector<std::string>* keys) {
+bool ReadKeyViews(ByteReader* reader, std::vector<std::string_view>* keys) {
   uint64_t count = 0;
   if (!reader->GetU64(&count)) return false;
   // Each key costs at least its 4-byte length prefix, so a count beyond
@@ -50,11 +50,19 @@ bool ReadKeyList(ByteReader* reader, std::vector<std::string>* keys) {
   keys->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t length = 0;
-    if (!reader->GetU32(&length) || length > reader->remaining()) return false;
-    std::string key(length, '\0');
-    if (!reader->GetBytes(key.data(), length)) return false;
-    keys->push_back(std::move(key));
+    std::string_view key;
+    if (!reader->GetU32(&length) || !reader->GetView(length, &key)) {
+      return false;
+    }
+    keys->push_back(key);
   }
+  return true;
+}
+
+bool ReadKeyList(ByteReader* reader, std::vector<std::string>* keys) {
+  std::vector<std::string_view> views;
+  if (!ReadKeyViews(reader, &views)) return false;
+  keys->assign(views.begin(), views.end());
   return true;
 }
 

@@ -85,6 +85,15 @@ class ByteReader {
     return true;
   }
 
+  /// Like GetBytes, but returns a view into the input instead of copying;
+  /// the view lives as long as the bytes the reader was constructed over.
+  bool GetView(size_t len, std::string_view* out) {
+    if (failed_ || pos_ + len > bytes_.size()) return Fail();
+    *out = bytes_.substr(pos_, len);
+    pos_ += len;
+    return true;
+  }
+
   bool AtEnd() const { return !failed_ && pos_ == bytes_.size(); }
   bool failed() const { return failed_; }
   size_t remaining() const { return failed_ ? 0 : bytes_.size() - pos_; }
@@ -142,6 +151,11 @@ void WriteKeyList(ByteWriter* writer, const std::vector<std::string>& keys);
 /// satisfy before reserve() can amplify a small crafted blob into a huge
 /// allocation. Returns false on any framing error.
 bool ReadKeyList(ByteReader* reader, std::vector<std::string>* keys);
+
+/// Zero-copy ReadKeyList: the same record and checks, but each key is a
+/// view into the reader's input, so the views are valid only while those
+/// bytes are (a request frame's body, for the duration of its handler).
+bool ReadKeyViews(ByteReader* reader, std::vector<std::string_view>* keys);
 
 /// Length-prefixed (key, u64 count) table — the multiplicity sibling of
 /// WriteKeyList/ReadKeyList.

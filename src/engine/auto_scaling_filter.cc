@@ -86,8 +86,9 @@ bool AutoScalingFilter::Contains(std::string_view key) const {
   return false;
 }
 
-void AutoScalingFilter::ContainsBatch(const std::vector<std::string>& keys,
-                                      std::vector<uint8_t>* results) const {
+template <typename Keys>
+void AutoScalingFilter::ContainsBatchAnyKeys(
+    const Keys& keys, std::vector<uint8_t>* results) const {
   generations_.back().filter->ContainsBatch(keys, results);
   std::vector<uint8_t> partial;
   for (size_t g = generations_.size() - 1; g-- > 0;) {
@@ -96,6 +97,17 @@ void AutoScalingFilter::ContainsBatch(const std::vector<std::string>& keys,
       (*results)[i] |= partial[i];
     }
   }
+}
+
+void AutoScalingFilter::ContainsBatch(const std::vector<std::string>& keys,
+                                      std::vector<uint8_t>* results) const {
+  ContainsBatchAnyKeys(keys, results);
+}
+
+void AutoScalingFilter::ContainsBatch(
+    const std::vector<std::string_view>& keys,
+    std::vector<uint8_t>* results) const {
+  ContainsBatchAnyKeys(keys, results);
 }
 
 Status AutoScalingFilter::Remove(std::string_view key) {

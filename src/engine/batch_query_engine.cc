@@ -350,6 +350,29 @@ void ContainsBatchImpl(const MembershipFilter& filter, const Keys& keys,
   filter.ContainsBatch(keys, results);
 }
 
+template <typename Keys>
+void QueryCountBatchImpl(const MultiplicityFilter& filter, const Keys& keys,
+                         size_t batch_size, std::vector<uint64_t>* counts) {
+  counts->resize(keys.size());
+  if (keys.empty()) return;
+  const bool record = RecordBatchEntry(keys.size());
+  const BatchFastPath fp = filter.batch_fast_path();
+  if (fp.kind == BatchFastPath::Kind::kShbfX &&
+      FastPathSupported(fp.kind, fp.impl)) {
+    if (record) EngineMetrics::Get().fastpath_batches->Increment();
+    const auto* impl = static_cast<const ShbfX*>(fp.impl);
+    TwoPassLoop(*impl, keys, batch_size,
+                [&](size_t i, const ShbfX::Probe& probe) {
+                  (*counts)[i] = impl->ResolveProbe(probe);
+                });
+    return;
+  }
+  if (record) EngineMetrics::Get().virtual_batches->Increment();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    (*counts)[i] = filter.QueryCount(keys[i]);
+  }
+}
+
 }  // namespace
 
 BatchQueryEngine::BatchQueryEngine(BatchOptions options)
@@ -370,24 +393,13 @@ void BatchQueryEngine::ContainsBatch(const MembershipFilter& filter,
 void BatchQueryEngine::QueryCountBatch(const MultiplicityFilter& filter,
                                        const std::vector<std::string>& keys,
                                        std::vector<uint64_t>* counts) const {
-  counts->resize(keys.size());
-  if (keys.empty()) return;
-  const bool record = RecordBatchEntry(keys.size());
-  const BatchFastPath fp = filter.batch_fast_path();
-  if (fp.kind == BatchFastPath::Kind::kShbfX &&
-      FastPathSupported(fp.kind, fp.impl)) {
-    if (record) EngineMetrics::Get().fastpath_batches->Increment();
-    const auto* impl = static_cast<const ShbfX*>(fp.impl);
-    TwoPassLoop(*impl, keys, batch_size_,
-                [&](size_t i, const ShbfX::Probe& probe) {
-                  (*counts)[i] = impl->ResolveProbe(probe);
-                });
-    return;
-  }
-  if (record) EngineMetrics::Get().virtual_batches->Increment();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    (*counts)[i] = filter.QueryCount(keys[i]);
-  }
+  QueryCountBatchImpl(filter, keys, batch_size_, counts);
+}
+
+void BatchQueryEngine::QueryCountBatch(
+    const MultiplicityFilter& filter, const std::vector<std::string_view>& keys,
+    std::vector<uint64_t>* counts) const {
+  QueryCountBatchImpl(filter, keys, batch_size_, counts);
 }
 
 void BatchQueryEngine::QueryBatch(

@@ -79,6 +79,12 @@ class BatchQueryEngine {
                        const std::vector<std::string>& keys,
                        std::vector<uint64_t>* counts) const;
 
+  /// View-indexed overload (the server's QUERY handler decodes keys as
+  /// views into the request frame); identical answers.
+  void QueryCountBatch(const MultiplicityFilter& filter,
+                       const std::vector<std::string_view>& keys,
+                       std::vector<uint64_t>* counts) const;
+
   /// `outcomes` is resized to `keys.size()`; entry i becomes
   /// `filter.Query(keys[i])`. Fast path: ShbfA.
   void QueryBatch(const AssociationFilter& filter,

@@ -7,9 +7,10 @@
 // Threading contract: every field is owned by the event-loop thread,
 // EXCEPT `hello_done`, which belongs to whichever worker is processing the
 // connection's one in-flight frame batch — the loop never dispatches a
-// second batch before the first completes, and the work/completion queue
-// mutexes order the hand-offs, so no two threads ever touch it
-// concurrently.
+// second batch before the first completes, only answers a frame inline
+// (touching `hello_done` itself) while no batch is in flight, and the
+// work/completion queue mutexes order the hand-offs, so no two threads
+// ever touch it concurrently.
 
 #ifndef SHBF_SERVER_CONNECTION_H_
 #define SHBF_SERVER_CONNECTION_H_
@@ -56,9 +57,10 @@ class FrameSplitter {
   size_t cursor_ = 0;  ///< start of the first unconsumed byte
 };
 
-/// One parsed item awaiting a worker. Framing violations travel through
-/// the same queue as real requests so error responses keep wire order
-/// with the pipelined requests that preceded them.
+/// One parsed item awaiting a worker (or the inline hook). Framing
+/// violations travel through the same queue as real requests so error
+/// responses keep wire order with the pipelined requests that preceded
+/// them.
 struct PendingFrame {
   enum class Kind : uint8_t {
     kRequest,   ///< `body` is a request body for the frame handler
@@ -100,6 +102,15 @@ struct Connection {
   uint32_t epoll_mask = 0;      ///< interest currently registered
 
   size_t output_bytes() const { return outbuf.size() - out_cursor; }
+
+  /// After a fatal response: answer everything up to it, then close.
+  /// Frames the peer pipelined behind the poison are abandoned, exactly
+  /// like the thread-per-connection server leaving them unread.
+  void CloseAfterFlush() {
+    close_after_flush = true;
+    no_more_reads = true;
+    pending.clear();
+  }
 
   /// Appends response bytes, compacting the consumed prefix when it
   /// dominates the buffer.

@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -24,9 +25,28 @@ namespace {
 /// peer cannot starve its neighbours (level-triggered epoll re-arms it).
 constexpr size_t kMaxReadPerEvent = 256 * 1024;
 
+/// One worker per CPU the process may actually run on: a server started
+/// under `taskset -c 1-2` gets 2, not one per core of the host.
 size_t DefaultWorkers() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::min<size_t>(std::max<size_t>(hw, 1), 8);
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  size_t cpus = 0;
+  if (::sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    cpus = static_cast<size_t>(CPU_COUNT(&allowed));
+  } else {
+    cpus = std::thread::hardware_concurrency();
+  }
+  return std::min<size_t>(std::max<size_t>(cpus, 1), 8);
+}
+
+/// Microseconds since `enqueued`; 0 for frames stamped while metrics were
+/// disabled (the epoch sentinel).
+uint64_t QueueWaitUs(std::chrono::steady_clock::time_point enqueued) {
+  if (enqueued == std::chrono::steady_clock::time_point{}) return 0;
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - enqueued)
+          .count());
 }
 
 /// The loop's registry handles, resolved once per process (the registry
@@ -37,6 +57,7 @@ struct LoopMetrics {
   obs::Counter* connections_rejected;
   obs::Counter* backpressure_engaged;
   obs::Counter* backpressure_released;
+  obs::Counter* inline_frames;
   obs::Counter* drains;
   obs::Gauge* last_drain_us;
 
@@ -54,6 +75,7 @@ struct LoopMetrics {
           registry.GetCounter("server.backpressure_engaged_total");
       m.backpressure_released =
           registry.GetCounter("server.backpressure_released_total");
+      m.inline_frames = registry.GetCounter("server.inline_frames_total");
       m.drains = registry.GetCounter("server.drains_total");
       m.last_drain_us = registry.GetGauge("server.last_drain_us");
       return m;
@@ -65,9 +87,10 @@ struct LoopMetrics {
 }  // namespace
 
 EventLoop::EventLoop(int listen_fd, EventLoopOptions options,
-                     FrameHandler handler)
+                     FrameHandler handler, InlineHandler try_inline)
     : options_(std::move(options)),
       handler_(std::move(handler)),
+      try_inline_(std::move(try_inline)),
       listen_fd_(listen_fd) {
   if (options_.num_workers == 0) options_.num_workers = DefaultWorkers();
   if (options_.max_batch_frames == 0) options_.max_batch_frames = 1;
@@ -236,6 +259,12 @@ void EventLoop::HandleReadable(const std::shared_ptr<Connection>& conn) {
       if (event == FrameSplitter::Event::kNeedMore) break;
       PendingFrame pending;
       if (event == FrameSplitter::Event::kFrame) {
+        // Nothing ahead of it: the hook may answer it off the view.
+        if (!conn->in_flight && conn->pending.empty() &&
+            ServeInline(conn, frame, 0)) {
+          if (conn->no_more_reads) break;  // a fatal answer
+          continue;
+        }
         pending.body.assign(frame.data(), frame.size());
         if (obs::Enabled()) {
           pending.enqueued = std::chrono::steady_clock::now();
@@ -261,9 +290,10 @@ void EventLoop::HandleReadable(const std::shared_ptr<Connection>& conn) {
       conn->no_more_reads = true;
       break;
     }
-    if (ReadsPaused(*conn)) break;
+    if (conn->no_more_reads || ReadsPaused(*conn)) break;
   }
   MaybeDispatch(conn);
+  if (!Flush(conn)) return;  // inline answers leave on this same wake-up
   UpdateInterest(conn);
   // EOF with nothing buffered anywhere: a clean hang-up, close now.
   if (conn->no_more_reads && conn->pending.empty() && !conn->in_flight &&
@@ -272,8 +302,35 @@ void EventLoop::HandleReadable(const std::shared_ptr<Connection>& conn) {
   }
 }
 
+bool EventLoop::ServeInline(const std::shared_ptr<Connection>& conn,
+                            std::string_view body, uint64_t queue_wait_us) {
+  if (!try_inline_) return false;
+  FrameContext context;
+  context.connection_id = conn->id;
+  context.queue_wait_us = queue_wait_us;
+  std::optional<FrameResult> result =
+      try_inline_(body, &conn->hello_done, context);
+  if (!result.has_value()) return false;
+  LoopMetrics::Get().inline_frames->Increment();
+  conn->AppendOutput(result->frame);
+  if (result->close_connection) conn->CloseAfterFlush();
+  return true;
+}
+
 void EventLoop::MaybeDispatch(const std::shared_ptr<Connection>& conn) {
-  if (conn->dead || conn->in_flight || conn->pending.empty()) return;
+  if (conn->dead || conn->in_flight) return;
+  // Frames that queued behind a batch get their inline offer now, in
+  // order, up to the first one the hook declines.
+  while (!conn->pending.empty()) {
+    const PendingFrame& front = conn->pending.front();
+    if (front.kind != PendingFrame::Kind::kRequest ||
+        !ServeInline(conn, front.body, QueueWaitUs(front.enqueued))) {
+      break;
+    }
+    if (conn->close_after_flush) return;  // fatal: the backlog is gone
+    conn->pending.pop_front();
+  }
+  if (conn->pending.empty()) return;
   Work work;
   work.conn = conn;
   const size_t take =
@@ -332,16 +389,9 @@ void EventLoop::DrainCompletions() {
     --batches_in_flight_;
     if (conn->dead) continue;
     conn->AppendOutput(completion.output);
-    if (completion.close_connection) {
-      // Fatal response: answer everything up to it, then close. Frames
-      // the peer pipelined behind the poison are abandoned, exactly like
-      // the thread-per-connection server leaving them unread.
-      conn->close_after_flush = true;
-      conn->no_more_reads = true;
-      conn->pending.clear();
-    }
+    if (completion.close_connection) conn->CloseAfterFlush();
+    MaybeDispatch(conn);  // may append inline answers behind the batch's
     if (!Flush(conn)) continue;
-    MaybeDispatch(conn);
     UpdateInterest(conn);
     if (conn->output_bytes() == 0 && !conn->in_flight) {
       if (conn->close_after_flush ||
@@ -484,12 +534,7 @@ void EventLoop::WorkerThread() {
       }
       FrameContext context;
       context.connection_id = work.conn->id;
-      if (frame.enqueued != std::chrono::steady_clock::time_point{}) {
-        context.queue_wait_us = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - frame.enqueued)
-                .count());
-      }
+      context.queue_wait_us = QueueWaitUs(frame.enqueued);
       FrameResult result =
           handler_(frame.body, &work.conn->hello_done, context);
       completion.output += result.frame;

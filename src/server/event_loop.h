@@ -2,26 +2,41 @@
 // one loop thread multiplexing every connection (nonblocking accept,
 // buffered framed reads tolerating arbitrary fragmentation, buffered
 // writes surviving short writes) plus a fixed worker pool draining a
-// frame-batch queue, so request processing — the BatchQueryEngine passes,
-// filter locks, snapshot I/O — never runs on, or blocks, the loop thread.
+// frame-batch queue. Cheap frames the owner's inline hook accepts are
+// answered on the loop thread itself; everything else — large batches,
+// writer locks, snapshot I/O — runs on the workers, so nothing that can
+// wait ever runs on, or blocks, the loop thread.
 //
 // Flow of one request frame:
 //
 //   epoll_wait → read() until EAGAIN → FrameSplitter pops 1..N pipelined
-//   frames → conn.pending → (if no batch in flight) dispatch a batch to
-//   the work queue → a worker runs the frame handler per frame, in order,
-//   concatenating response frames → completion queue + eventfd wakeup →
-//   loop appends to conn.outbuf, flushes, arms EPOLLOUT for the rest
+//   frames → if nothing is queued or in flight ahead of a frame, the
+//   inline hook may answer it straight off the splitter's view (no copy,
+//   no worker) → otherwise it joins conn.pending → (if no batch in flight)
+//   dispatch a batch to the work queue → a worker runs the frame handler
+//   per frame, in order, concatenating response frames → completion queue
+//   + eventfd wakeup → loop appends to conn.outbuf → the frames queued
+//   behind that batch get the inline offer in turn → flush, arm EPOLLOUT
+//   for the rest
 //
-// Ordering: at most ONE batch per connection is in flight, so pipelined
-// responses leave in request order; across connections workers run freely
-// in parallel (per-filter locks serialize what must be serialized).
+// The inline hook is the owner's to keep cheap and non-blocking: it must
+// decline rather than wait on a lock, a disk or a peer, because while it
+// runs no other connection is served. ShbfServer accepts only small
+// QUERY frames whose reader lock it can take with try_lock_shared
+// (docs/serving.md §2).
+//
+// Ordering: at most ONE batch per connection is in flight, and a frame is
+// only answered inline when nothing is queued or in flight ahead of it, so
+// pipelined responses leave in request order; across connections workers
+// (and the loop's inline answers) run freely in parallel (per-filter locks
+// serialize what must be serialized).
 //
 // Backpressure: a connection whose parsed-frame backlog or output buffer
 // crosses its high-watermark stops being read (EPOLLIN dropped) until the
 // workers/peer catch up — a slow-loris or never-reading peer idles its own
-// connection and nothing else. Memory per connection is thereby bounded by
-// max_frame_bytes + the watermarks.
+// connection and nothing else. Inline answers land in the same output
+// buffer, so they count against the same watermark. Memory per connection
+// is thereby bounded by max_frame_bytes + the watermarks.
 //
 // Stop() drains deterministically: stop accepting and reading, let
 // in-flight batches complete, then keep flushing pending responses until
@@ -29,7 +44,8 @@
 // get their connections aborted. See docs/serving.md §2.
 //
 // The loop knows framing, not the protocol: the owner supplies the frame
-// handler and the two canned framing-violation responses.
+// handler, the optional inline hook and the two canned framing-violation
+// responses.
 
 #ifndef SHBF_SERVER_EVENT_LOOP_H_
 #define SHBF_SERVER_EVENT_LOOP_H_
@@ -42,6 +58,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -58,8 +75,8 @@ struct EventLoopOptions {
   /// Per-frame body ceiling (mirrors wire::kMaxFrameBytes).
   size_t max_frame_bytes = size_t{1} << 26;
 
-  /// Worker threads draining the frame-batch queue. 0 = one per hardware
-  /// thread, clamped to [1, 8].
+  /// Worker threads draining the frame-batch queue. 0 = one per CPU the
+  /// process may run on (its affinity mask), clamped to [1, 8].
   size_t num_workers = 0;
 
   /// Accepted-connection ceiling; past it new sockets are accepted and
@@ -102,7 +119,8 @@ class EventLoop {
 
   /// Per-frame serving context the loop knows and the handler does not:
   /// which connection, and how long the frame waited parsed-but-unserved
-  /// before a worker picked it up (0 when metrics are disabled, and in
+  /// before a worker (or the inline hook) picked it up (0 when metrics are
+  /// disabled, for frames answered inline straight off the read, and in
   /// the legacy server, which handles frames inline with the read).
   struct FrameContext {
     uint64_t connection_id = 0;
@@ -116,8 +134,20 @@ class EventLoop {
   using FrameHandler = std::function<FrameResult(
       std::string_view body, bool* hello_done, const FrameContext& context)>;
 
-  /// Takes ownership of `listen_fd` (made nonblocking in Start).
-  EventLoop(int listen_fd, EventLoopOptions options, FrameHandler handler);
+  /// Runs on the LOOP thread, offered each request frame that nothing is
+  /// queued or in flight ahead of (a declined frame may be offered again
+  /// before it ships). Returns the answer to serve the frame right there,
+  /// or nullopt to send it — and every frame behind it — to the workers.
+  /// Concurrent with FrameHandler calls for other connections. Must
+  /// decline instead of blocking: while it runs, no other connection is
+  /// served.
+  using InlineHandler = std::function<std::optional<FrameResult>(
+      std::string_view body, bool* hello_done, const FrameContext& context)>;
+
+  /// Takes ownership of `listen_fd` (made nonblocking in Start). An empty
+  /// `try_inline` sends every frame to the workers.
+  EventLoop(int listen_fd, EventLoopOptions options, FrameHandler handler,
+            InlineHandler try_inline = nullptr);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -128,6 +158,9 @@ class EventLoop {
 
   /// Drains (see file comment) and joins every thread. Idempotent.
   void Stop();
+
+  /// Worker threads Start spawns (num_workers, or its affinity default).
+  size_t num_workers() const { return options_.num_workers; }
 
   /// Connections accepted since Start (rejected-over-limit ones excluded).
   uint64_t connections_accepted() const {
@@ -170,7 +203,14 @@ class EventLoop {
   void HandleReadable(const std::shared_ptr<Connection>& conn);
   void HandleWritable(const std::shared_ptr<Connection>& conn);
   void DrainCompletions();
+  /// Offers the frames at the head of conn.pending to the inline hook,
+  /// then ships the rest as one batch — unless a batch is in flight.
   void MaybeDispatch(const std::shared_ptr<Connection>& conn);
+  /// Offers one frame to the inline hook; on acceptance appends the answer
+  /// to conn.outbuf (and, for a fatal answer, stops the connection's
+  /// reads and drops its backlog). Returns false when declined.
+  bool ServeInline(const std::shared_ptr<Connection>& conn,
+                   std::string_view body, uint64_t queue_wait_us);
   /// Writes outbuf until EAGAIN/empty; kills the connection on error.
   /// Returns false when the connection died.
   bool Flush(const std::shared_ptr<Connection>& conn);
@@ -187,6 +227,7 @@ class EventLoop {
 
   EventLoopOptions options_;
   FrameHandler handler_;
+  InlineHandler try_inline_;
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "api/filter_registry.h"
@@ -201,6 +202,10 @@ Status ShbfServer::Start() {
         Response response = HandleFrame(body, hello_done, context);
         return server::EventLoop::FrameResult{std::move(response.frame),
                                               response.close_connection};
+      },
+      [this](std::string_view body, bool* hello_done,
+             const server::EventLoop::FrameContext& context) {
+        return TryInline(body, hello_done, context);
       });
   listen_fd_ = -1;  // the loop owns it now
   s = loop_->Start();
@@ -398,14 +403,48 @@ void ShbfServer::ServeConnection(LegacyConnection* connection) {
   connection->done.store(true, std::memory_order_release);
 }
 
-ShbfServer::Response ShbfServer::HandleFrame(
+std::optional<server::EventLoop::FrameResult> ShbfServer::TryInline(
     std::string_view body, bool* hello_done,
     const server::EventLoop::FrameContext& context) {
+  if (!*hello_done || body.empty() ||
+      static_cast<uint8_t>(body[0]) !=
+          static_cast<uint8_t>(wire::Opcode::kQuery)) {
+    return std::nullopt;
+  }
+  // Peek at the name and the key count only; a malformed frame is the
+  // workers' to answer.
+  ByteReader reader(body.substr(1));
+  uint32_t name_length = 0;
+  std::string_view name;
+  uint8_t mode_byte = 0;
+  uint64_t key_count = 0;
+  if (!reader.GetU32(&name_length) || name_length > wire::kMaxNameBytes ||
+      !reader.GetView(name_length, &name) || !reader.GetU8(&mode_byte) ||
+      !reader.GetU64(&key_count) || key_count > kInlineMaxKeys) {
+    return std::nullopt;
+  }
+  const auto it = served_.find(name);
+  if (it == served_.end()) return std::nullopt;
+  const Served* served = it->second.get();
+  std::shared_lock<std::shared_mutex> lock(served->mu, std::try_to_lock);
+  if (!lock.owns_lock() || served->filter->batch_fast_path().kind ==
+                               BatchFastPath::Kind::kNone) {
+    return std::nullopt;
+  }
+  Response response = HandleFrame(body, hello_done, context, served);
+  return server::EventLoop::FrameResult{std::move(response.frame),
+                                        response.close_connection};
+}
+
+ShbfServer::Response ShbfServer::HandleFrame(
+    std::string_view body, bool* hello_done,
+    const server::EventLoop::FrameContext& context,
+    const Served* reader_locked) {
   // Before the handler, not after: a METRICS frame must see itself in
   // frames_total, so its snapshot is bit-identical to a counters() read
   // taken once the response has arrived (the parity contract).
   frames_served_.fetch_add(1, std::memory_order_relaxed);
-  if (!obs::Enabled()) return HandleRequest(body, hello_done);
+  if (!obs::Enabled()) return HandleRequest(body, hello_done, reader_locked);
   const auto opcode_byte =
       body.empty() ? uint8_t{0} : static_cast<uint8_t>(body[0]);
   const bool known_opcode =
@@ -415,7 +454,7 @@ ShbfServer::Response ShbfServer::HandleFrame(
   // already includes the frame that produced it.
   if (known_opcode) op_metrics_[opcode_byte].frames->Increment();
   const auto start = std::chrono::steady_clock::now();
-  Response response = HandleRequest(body, hello_done);
+  Response response = HandleRequest(body, hello_done, reader_locked);
   const auto handle_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
@@ -437,7 +476,8 @@ ShbfServer::Response ShbfServer::HandleFrame(
 }
 
 ShbfServer::Response ShbfServer::HandleRequest(std::string_view body,
-                                               bool* hello_done) {
+                                               bool* hello_done,
+                                               const Served* reader_locked) {
   ByteReader reader(body);
   uint8_t opcode_byte = 0;
   reader.GetU8(&opcode_byte);  // body is non-empty (kEmpty handled earlier)
@@ -450,7 +490,7 @@ ShbfServer::Response ShbfServer::HandleRequest(std::string_view body,
     case wire::Opcode::kHello:
       return HandleHello(&reader, hello_done);
     case wire::Opcode::kQuery:
-      return HandleQuery(&reader);
+      return HandleQuery(&reader, reader_locked);
     case wire::Opcode::kAdd:
       return HandleAdd(&reader);
     case wire::Opcode::kRemove:
@@ -523,7 +563,8 @@ ShbfServer::Served* ShbfServer::ResolveFilter(ByteReader* reader,
   return it->second.get();
 }
 
-ShbfServer::Response ShbfServer::HandleQuery(ByteReader* reader) {
+ShbfServer::Response ShbfServer::HandleQuery(ByteReader* reader,
+                                             const Served* reader_locked) {
   Response error;
   Served* served = ResolveFilter(reader, &error);
   if (served == nullptr) return error;
@@ -532,8 +573,10 @@ ShbfServer::Response ShbfServer::HandleQuery(ByteReader* reader) {
       mode_byte > static_cast<uint8_t>(wire::QueryMode::kCount)) {
     return Error(wire::WireStatus::kBadFrame, "QUERY: bad mode");
   }
-  std::vector<std::string> keys;
-  if (!serde::ReadKeyList(reader, &keys) || !reader->AtEnd()) {
+  // Views into the request body, which outlives this call: no per-key
+  // copies on the hottest opcode.
+  std::vector<std::string_view> keys;
+  if (!serde::ReadKeyViews(reader, &keys) || !reader->AtEnd()) {
     return Error(wire::WireStatus::kBadFrame, "QUERY: malformed key list");
   }
   if (keys.size() > options_.max_keys_per_frame) {
@@ -542,22 +585,18 @@ ShbfServer::Response ShbfServer::HandleQuery(ByteReader* reader) {
                      " keys exceed the per-frame limit");
   }
   const auto mode = static_cast<wire::QueryMode>(mode_byte);
-  ByteWriter writer;
-  writer.PutU8(mode_byte);
-  writer.PutU64(keys.size());
-  if (mode == wire::QueryMode::kMembership) {
-    std::vector<uint8_t> results;
-    {
-      std::shared_lock<std::shared_mutex> lock(served->mu);
+  std::vector<uint8_t> results;
+  std::vector<uint64_t> counts;
+  {
+    // An inline frame arrives with this filter's reader lock already held
+    // (TryInline took it without waiting); everyone else takes it here.
+    // The multiplicity view swaps together with the filter under this
+    // lock (RELOAD), so both the null check and the use belong inside.
+    std::shared_lock<std::shared_mutex> lock(served->mu, std::defer_lock);
+    if (served != reader_locked) lock.lock();
+    if (mode == wire::QueryMode::kMembership) {
       engine_.ContainsBatch(*served->filter, keys, &results);
-    }
-    for (uint8_t result : results) writer.PutU8(result != 0 ? 1 : 0);
-  } else {
-    std::vector<uint64_t> counts;
-    {
-      // The multiplicity view swaps together with the filter under this
-      // lock (RELOAD), so both the null check and the use belong inside.
-      std::shared_lock<std::shared_mutex> lock(served->mu);
+    } else {
       if (served->multiplicity == nullptr) {
         return Error(wire::WireStatus::kUnsupported,
                      std::string(served->filter->name()) +
@@ -565,8 +604,12 @@ ShbfServer::Response ShbfServer::HandleQuery(ByteReader* reader) {
       }
       engine_.QueryCountBatch(*served->multiplicity, keys, &counts);
     }
-    for (uint64_t count : counts) writer.PutU64(count);
   }
+  ByteWriter writer;
+  writer.PutU8(mode_byte);
+  writer.PutU64(keys.size());
+  for (uint8_t result : results) writer.PutU8(result != 0 ? 1 : 0);
+  for (uint64_t count : counts) writer.PutU64(count);
   keys_queried_.fetch_add(keys.size(), std::memory_order_relaxed);
   return Response{wire::BuildOk(writer.Take()), false,
                   static_cast<uint32_t>(keys.size())};

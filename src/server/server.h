@@ -5,7 +5,10 @@
 // Model (default): one epoll event-loop thread multiplexing every
 // connection plus a fixed worker pool (server::EventLoop) — thread count
 // is O(workers), not O(connections), so C10K+ concurrent connections and
-// pipelined request frames are first-class. Each request frame carries a
+// pipelined request frames are first-class. Small QUERY frames against a
+// lock-free fast-path filter are answered on the loop thread itself when
+// the filter's reader lock is free (TryInline, kInlineMaxKeys); every
+// other frame goes to the workers. Each request frame carries a
 // *batch* of keys, which the handler resolves in one BatchQueryEngine call
 // under the filter's reader lock — so concurrent connections querying the
 // same filter stay on the shared-lock path, and a sharded/dynamic wrapper
@@ -36,6 +39,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -76,8 +80,8 @@ struct ServerOptions {
   /// an operational escape hatch; both modes speak identical bytes.
   bool legacy_threads = false;
 
-  /// Event-loop worker threads. 0 = one per hardware thread, clamped to
-  /// [1, 8]. Ignored under legacy_threads.
+  /// Event-loop worker threads. 0 = one per CPU in the process's affinity
+  /// mask, clamped to [1, 8]. Ignored under legacy_threads.
   size_t num_workers = 0;
 
   /// Concurrent-connection ceiling; past it new sockets are accepted and
@@ -96,6 +100,19 @@ struct ServerOptions {
 
 class ShbfServer {
  public:
+  /// Largest QUERY frame (in keys) the event loop answers on its own
+  /// thread. An inline frame holds up every other connection for as long
+  /// as it runs, so it should cost no more than the loop→worker handoff
+  /// it saves. Measured on a 4-vCPU Xeon KVM guest serving a 12 MB
+  /// split-block filter (perfbench wire_membership, 64-key frames): the
+  /// handoff's server.queue_wait_us p50 is 5.8-6.9 us, and
+  /// server.handle_us.query p50 is 6.0-6.6 us per 64-key frame, i.e.
+  /// 0.094-0.103 us per key including decode and encode. The break-even
+  /// is 6.9 / 0.094 ≈ 74 down to 5.8 / 0.103 ≈ 56 keys; 64 sits inside
+  /// that range. The 256- and 1024-key frames of heavier workloads stay
+  /// on the workers.
+  static constexpr size_t kInlineMaxKeys = 64;
+
   explicit ShbfServer(ServerOptions options = {});
   ~ShbfServer();
 
@@ -226,16 +243,29 @@ class ShbfServer {
   /// per-opcode latency, the queue-wait histogram and a trace-ring entry.
   /// The frame counter is bumped BEFORE handling so a METRICS response
   /// includes its own frame — the bit-for-bit parity contract with
-  /// counters().
+  /// counters(). `reader_locked` is the filter whose reader lock the
+  /// caller already holds (TryInline), null otherwise.
   Response HandleFrame(std::string_view body, bool* hello_done,
-                       const server::EventLoop::FrameContext& context);
+                       const server::EventLoop::FrameContext& context,
+                       const Served* reader_locked = nullptr);
+
+  /// The event loop's inline hook (loop thread): answers a QUERY frame
+  /// through HandleFrame when it comes after HELLO, carries at most
+  /// kInlineMaxKeys keys, names a filter offering a batch_fast_path()
+  /// (whose reads take no locks of their own), and that filter's reader
+  /// lock is free right now (try_lock_shared). Declines everything else —
+  /// the loop thread never waits on a lock, a disk or a peer.
+  std::optional<server::EventLoop::FrameResult> TryInline(
+      std::string_view body, bool* hello_done,
+      const server::EventLoop::FrameContext& context);
 
   /// Dispatches one request body. `*hello_done` tracks the connection's
   /// handshake state.
-  Response HandleRequest(std::string_view body, bool* hello_done);
+  Response HandleRequest(std::string_view body, bool* hello_done,
+                         const Served* reader_locked);
 
   Response HandleHello(ByteReader* reader, bool* hello_done);
-  Response HandleQuery(ByteReader* reader);
+  Response HandleQuery(ByteReader* reader, const Served* reader_locked);
   Response HandleAdd(ByteReader* reader);
   Response HandleRemove(ByteReader* reader);
   Response HandleStats(ByteReader* reader);

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/filter_registry.h"
@@ -103,6 +104,12 @@ TEST(BatchEngineTest, QueryCountBatchMatchesPerKeyForMultiplicityFilters) {
       ASSERT_EQ(batched[i], filter->QueryCount(universe[i]))
           << "divergence at key " << i;
     }
+    // The view-keyed overload (the server's QUERY path) answers the same.
+    const std::vector<std::string_view> views(universe.begin(),
+                                              universe.end());
+    std::vector<uint64_t> from_views;
+    engine.QueryCountBatch(*filter, views, &from_views);
+    EXPECT_EQ(from_views, batched);
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/filter_registry.h"
@@ -144,10 +145,14 @@ TEST(DynamicFilterTest, CancelledAddKeepsAllQueryPathsConsistent) {
   engine.ContainsBatch(*filter, all, &batched);
   std::vector<uint8_t> direct;
   filter->ContainsBatch(all, &direct);
+  const std::vector<std::string_view> views(all.begin(), all.end());
+  std::vector<uint8_t> from_views;
+  filter->ContainsBatch(views, &from_views);
   for (size_t i = 0; i < all.size(); ++i) {
     const bool scalar = filter->Contains(all[i]);
     ASSERT_EQ(scalar, batched[i] != 0) << "engine diverges at " << i;
     ASSERT_EQ(scalar, direct[i] != 0) << "ContainsBatch diverges at " << i;
+    ASSERT_EQ(scalar, from_views[i] != 0) << "view batch diverges at " << i;
   }
 
   // After a flush the residual bits are gone: the filter answers exactly
@@ -402,6 +407,14 @@ TEST(AutoScalingFilterTest, GrowsGenerationsPastCapacity) {
   for (const auto& key : keys) {
     ASSERT_TRUE(filter->Contains(key)) << "false negative across generations";
   }
+  // Both batch overloads consult every generation.
+  const std::vector<std::string_view> views(keys.begin(), keys.end());
+  std::vector<uint8_t> owned_results;
+  std::vector<uint8_t> view_results;
+  filter->ContainsBatch(keys, &owned_results);
+  filter->ContainsBatch(views, &view_results);
+  EXPECT_EQ(owned_results, std::vector<uint8_t>(keys.size(), 1));
+  EXPECT_EQ(view_results, owned_results);
 
   // FPR stays sane even at 8x the generation-0 design point (fixed
   // bits-per-key per generation is the whole point).

@@ -79,6 +79,66 @@ TEST(SerdeHeaderTest, RoundTripAndMismatches) {
 
 // --- filter round trips -----------------------------------------------------------
 
+// ReadKeyList (owning) and ReadKeyViews (views into the input) decode the
+// same record to the same keys; the views really point into the input.
+TEST(KeyListSerdeTest, ListAndViewsDecodeIdentically) {
+  const std::vector<std::string> keys = {"alpha", "", std::string("\0b\xff", 3),
+                                         std::string(300, 'k')};
+  ByteWriter writer;
+  serde::WriteKeyList(&writer, keys);
+  const std::string blob = writer.Take();
+
+  ByteReader list_reader(blob);
+  std::vector<std::string> owned;
+  ASSERT_TRUE(serde::ReadKeyList(&list_reader, &owned));
+  EXPECT_TRUE(list_reader.AtEnd());
+  EXPECT_EQ(owned, keys);
+
+  ByteReader view_reader(blob);
+  std::vector<std::string_view> views;
+  ASSERT_TRUE(serde::ReadKeyViews(&view_reader, &views));
+  EXPECT_TRUE(view_reader.AtEnd());
+  ASSERT_EQ(views.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(views[i], keys[i]) << "key " << i;
+    EXPECT_GE(views[i].data(), blob.data());
+    EXPECT_LE(views[i].data() + views[i].size(), blob.data() + blob.size());
+  }
+}
+
+// Every proper prefix of a key-list record is a truncation both decoders
+// must reject — never a shorter list, never an out-of-bounds read.
+TEST(KeyListSerdeTest, TruncationAtEveryByteFails) {
+  ByteWriter writer;
+  serde::WriteKeyList(&writer, {"one", "", "three", "fourteen-bytes"});
+  const std::string blob = writer.Take();
+  for (size_t cut = 0; cut < blob.size(); ++cut) {
+    const std::string_view prefix(blob.data(), cut);
+    ByteReader list_reader(prefix);
+    std::vector<std::string> owned;
+    EXPECT_FALSE(serde::ReadKeyList(&list_reader, &owned)) << "cut " << cut;
+    ByteReader view_reader(prefix);
+    std::vector<std::string_view> views;
+    EXPECT_FALSE(serde::ReadKeyViews(&view_reader, &views)) << "cut " << cut;
+  }
+}
+
+// A count the remaining bytes cannot satisfy is refused before reserve():
+// a 12-byte record claiming 2^40 keys must not allocate anything big.
+TEST(KeyListSerdeTest, CountBombIsRejected) {
+  ByteWriter writer;
+  writer.PutU64(uint64_t{1} << 40);
+  writer.PutU32(0);
+  const std::string blob = writer.Take();
+  ByteReader list_reader(blob);
+  std::vector<std::string> owned;
+  EXPECT_FALSE(serde::ReadKeyList(&list_reader, &owned));
+  ByteReader view_reader(blob);
+  std::vector<std::string_view> views;
+  EXPECT_FALSE(serde::ReadKeyViews(&view_reader, &views));
+  EXPECT_EQ(views.capacity(), 0u);
+}
+
 TEST(FilterSerdeTest, BloomFilterRoundTripAnswersIdentically) {
   auto w = MakeMembershipWorkload(1000, 20000, 81);
   BloomFilter original({.num_bits = 12000, .num_hashes = 6, .seed = 77});

@@ -4,12 +4,18 @@
 // wire: dribbled byte-at-a-time frames, several frames per send(),
 // pipelined requests answered strictly in order, mid-frame disconnects,
 // slow-loris stalls that must not block other connections, mutation under
-// a crowd of live readers, and the Stop()-vs-in-flight-write race (a
-// large response must arrive complete even when Stop lands mid-send).
+// a crowd of live readers, the Stop()-vs-in-flight-write race (a large
+// response must arrive complete even when Stop lands mid-send), and the
+// event loop's two answer paths — small QUERYs answered inline on the loop
+// thread, everything else on the workers — which must be indistinguishable
+// on the wire.
 
 #include "server/server.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sched.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -21,21 +27,62 @@
 
 #include "api/filter_registry.h"
 #include "core/file_io.h"
+#include "engine/batch_query_engine.h"
+#include "obs/metrics.h"
 #include "server/client.h"
+#include "server/connection.h"
 #include "server/net.h"
 #include "server/protocol.h"
 
 namespace shbf {
 namespace {
 
+/// `shards` > 1 wraps the filter in the sharded wrapper; a nonzero
+/// `delta_capacity` in the dynamic one (whose build keys then sit in the
+/// delta). Deterministic: two calls build bit-identical filters.
 std::unique_ptr<MembershipFilter> BuildFilter(const std::string& name,
-                                              size_t keys) {
+                                              size_t keys, uint32_t shards = 1,
+                                              size_t delta_capacity = 0) {
   FilterSpec spec = FilterSpec::ForKeys(keys, 12.0, 8);
   spec.max_count = 8;
+  spec.shards = shards;
+  spec.delta_capacity = delta_capacity;
   std::unique_ptr<MembershipFilter> filter;
   CheckOk(FilterRegistry::Global().Create(name, spec, &filter));
   for (size_t i = 0; i < keys; ++i) filter->Add("key-" + std::to_string(i));
   return filter;
+}
+
+/// Frames the event loop has answered on its own thread (process-wide).
+uint64_t InlineFrames() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("server.inline_frames_total")
+      ->Value();
+}
+
+/// The OK payload a QUERY (membership mode) over `keys` must carry: what a
+/// local engine answers over an identical filter.
+std::string ExpectedMembershipPayload(const MembershipFilter& filter,
+                                      const std::vector<std::string>& keys) {
+  const BatchQueryEngine engine(
+      BatchOptions{.batch_size = ServerOptions{}.batch_size});
+  std::vector<uint8_t> results;
+  engine.ContainsBatch(filter, keys, &results);
+  ByteWriter writer;
+  writer.PutU8(static_cast<uint8_t>(wire::QueryMode::kMembership));
+  writer.PutU64(keys.size());
+  for (uint8_t result : results) writer.PutU8(result != 0 ? 1 : 0);
+  return writer.Take();
+}
+
+/// `count` keys, half of them members of BuildFilter(.., 2000).
+std::vector<std::string> MixedKeys(size_t count, size_t salt) {
+  std::vector<std::string> keys;
+  keys.reserve(count);
+  for (size_t j = 0; j < count; ++j) {
+    keys.push_back("key-" + std::to_string((salt * 131 + j * 7) % 4000));
+  }
+  return keys;
 }
 
 /// Param: true = legacy thread-per-connection, false = epoll event loop.
@@ -49,6 +96,12 @@ class ServerTortureTest : public ::testing::TestWithParam<bool> {
     CheckOk(server_->RegisterFilter("members", BuildFilter("shbf_m", 2000)));
     CheckOk(server_->RegisterFilter("counting",
                                     BuildFilter("counting_bloom", 2000)));
+    // No batch fast path: the sharded wrapper locks its own shards, and a
+    // dynamic filter's fast path is off while its delta holds keys.
+    CheckOk(server_->RegisterFilter("sharded",
+                                    BuildFilter("shbf_m", 2000, /*shards=*/4)));
+    CheckOk(server_->RegisterFilter(
+        "dynamic", BuildFilter("shbf_m", 2000, 1, /*delta_capacity=*/4096)));
     CheckOk(server_->Start());
   }
 
@@ -96,6 +149,18 @@ class ServerTortureTest : public ::testing::TestWithParam<bool> {
     ASSERT_TRUE(client.Query("members", {"key-1", "nope"}, &results).ok());
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0], 1);
+  }
+
+  /// Blocks until `want` frames have reached a handler (the frame counter
+  /// is bumped as a handler starts), bounded by a deadline.
+  void WaitForFramesStarted(uint64_t want) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server_->counters().frames < want &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(server_->counters().frames, want);
   }
 
   /// Closed sockets take a moment to unwind on the server side.
@@ -319,10 +384,11 @@ TEST_P(ServerTortureTest, StopDrainsInFlightWrites) {
   const std::string query =
       wire::BuildQuery("members", wire::QueryMode::kMembership, keys);
   ASSERT_TRUE(net::SendAll(fd, query.data(), query.size()));
-  // Give the handler time to start writing, then Stop concurrently while
-  // this thread is the only reader draining the response.
+  // Once the QUERY's handler has started (HELLO + QUERY counted), Stop
+  // concurrently while this thread is the only reader draining the
+  // response.
   std::thread stopper([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    WaitForFramesStarted(2);
     server_->Stop();
   });
   const std::string payload = ReadOkPayload(fd);
@@ -351,7 +417,7 @@ TEST_P(ServerTortureTest, StopAbortsStalledPeer) {
   const std::string query =
       wire::BuildQuery("members", wire::QueryMode::kMembership, keys);
   ASSERT_TRUE(net::SendAll(fd, query.data(), query.size()));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  WaitForFramesStarted(2);  // HELLO + the QUERY, which is now in flight
   // Never read the response; Stop must still return promptly.
   const auto start = std::chrono::steady_clock::now();
   server_->Stop();
@@ -413,6 +479,308 @@ TEST_P(ServerTortureTest, ConnectionLimitRejectsOverflow) {
   ASSERT_TRUE(replacement.Connect("127.0.0.1", server_->port()).ok());
   std::vector<uint8_t> results;
   EXPECT_TRUE(replacement.Query("members", {"key-1"}, &results).ok());
+}
+
+// Small QUERYs (answered inline on the loop thread) interleaved with large
+// ones (shipped to the workers) on one connection: every response comes
+// back in request order, bit-identical to a local engine over an identical
+// filter.
+TEST_P(ServerTortureTest, InlineAndWorkerQueriesKeepOrderAndMatchEngine) {
+  StartServer();
+  const auto local = BuildFilter("shbf_m", 2000);
+  const uint64_t inline_before = InlineFrames();
+  int fd = RawConnect();
+  Handshake(fd);
+  std::vector<std::string> frames;
+  std::vector<std::string> expected;
+  size_t small_frames = 0;
+  for (size_t i = 0; i < 48; ++i) {
+    const bool small = i % 3 != 2;
+    const size_t count = small ? 1 + (i * 7) % ShbfServer::kInlineMaxKeys
+                               : ShbfServer::kInlineMaxKeys + 1 + i * 400;
+    const std::vector<std::string> keys = MixedKeys(count, i);
+    frames.push_back(
+        wire::BuildQuery("members", wire::QueryMode::kMembership, keys));
+    expected.push_back(ExpectedMembershipPayload(*local, keys));
+    small_frames += small ? 1 : 0;
+  }
+  // The largest legal inline frame and the smallest worker one, back to
+  // back.
+  for (size_t count : {ShbfServer::kInlineMaxKeys,
+                       ShbfServer::kInlineMaxKeys + 1}) {
+    const std::vector<std::string> keys = MixedKeys(count, count);
+    frames.push_back(
+        wire::BuildQuery("members", wire::QueryMode::kMembership, keys));
+    expected.push_back(ExpectedMembershipPayload(*local, keys));
+  }
+  ++small_frames;
+  // One send() per frame, and after each large one a wait until its
+  // handler has started: the small frames behind it then arrive in a later
+  // read, typically while its batch is still in flight — the case where
+  // answering them inline would overtake it.
+  for (size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_TRUE(net::SendAll(fd, frames[i].data(), frames[i].size()));
+    if (i % 3 == 2) WaitForFramesStarted(/*HELLO*/ 1 + i + 1);
+  }
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(ReadOkPayload(fd), expected[i]) << "response " << i;
+  }
+  net::CloseFd(fd);
+  const uint64_t inlined = InlineFrames() - inline_before;
+  if (GetParam()) {
+    EXPECT_EQ(inlined, 0u);  // the legacy server has no loop thread
+  } else if (obs::Enabled()) {
+    // The first QUERY has nothing ahead of it, so it is always inline;
+    // small frames read behind a large one ride in its worker batch.
+    EXPECT_GE(inlined, 1u);
+    EXPECT_LE(inlined, small_frames);
+  }
+}
+
+// A large ADD holds the filter's writer lock on a worker. A small QUERY
+// pipelined behind it on the same connection is answered after it (it sees
+// every added key) and in order; small QUERYs from another connection that
+// land while the lock is held are declined inline (try_lock_shared fails)
+// and answered by a worker once the ADD is done. Correctness does not
+// depend on which of those paths any frame took.
+TEST_P(ServerTortureTest, SmallQueryBehindWriterLockedAddIsAnsweredInOrder) {
+  StartServer();
+  constexpr size_t kAddKeys = 200000;
+  std::vector<std::string> added;
+  added.reserve(kAddKeys);
+  for (size_t i = 0; i < kAddKeys; ++i) {
+    added.push_back("added-" + std::to_string(i));
+  }
+  const std::vector<std::string> probe = {"added-0", "added-77777",
+                                          "added-199999", "key-5"};
+  std::string stream =
+      wire::BuildKeysRequest(wire::Opcode::kAdd, "members", added);
+  stream += wire::BuildQuery("members", wire::QueryMode::kMembership, probe);
+  std::atomic<bool> add_answered{false};
+  std::atomic<int> side_failures{0};
+  std::atomic<uint64_t> side_queries{0};
+  std::thread side([&] {
+    ShbfClient client;
+    if (!client.Connect("127.0.0.1", server_->port()).ok()) {
+      side_failures.fetch_add(1);
+      return;
+    }
+    std::vector<uint8_t> results;
+    while (!add_answered.load()) {
+      if (!client.Query("members", {"key-1", "key-2"}, &results).ok() ||
+          results != std::vector<uint8_t>{1, 1}) {
+        side_failures.fetch_add(1);
+        return;
+      }
+      side_queries.fetch_add(1);
+    }
+  });
+  int fd = RawConnect();
+  Handshake(fd);
+  ASSERT_TRUE(net::SendAll(fd, stream.data(), stream.size()));
+  const std::string add_payload = ReadOkPayload(fd);
+  add_answered.store(true);
+  side.join();
+  ByteReader add_reader(add_payload);
+  uint64_t added_count = 0;
+  ASSERT_TRUE(add_reader.GetU64(&added_count));
+  EXPECT_EQ(added_count, kAddKeys);
+  ByteWriter want;
+  want.PutU8(static_cast<uint8_t>(wire::QueryMode::kMembership));
+  want.PutU64(probe.size());
+  for (size_t i = 0; i < probe.size(); ++i) want.PutU8(1);
+  EXPECT_EQ(ReadOkPayload(fd), want.Take());
+  EXPECT_EQ(side_failures.load(), 0);
+  net::CloseFd(fd);
+  ExpectServerAlive();
+}
+
+// Filters without a batch fast path (the sharded wrapper, a dynamic filter
+// whose delta holds keys), and any QUERY before HELLO, take the worker path
+// and answer exactly the bytes they always did.
+TEST_P(ServerTortureTest, NoFastPathAndPreHelloQueriesTakeWorkerPath) {
+  StartServer();
+  const auto sharded = BuildFilter("shbf_m", 2000, 4);
+  const auto dynamic = BuildFilter("shbf_m", 2000, 1, 4096);
+  ASSERT_EQ(sharded->batch_fast_path().kind, BatchFastPath::Kind::kNone);
+  ASSERT_EQ(dynamic->batch_fast_path().kind, BatchFastPath::Kind::kNone);
+  const uint64_t inline_before = InlineFrames();
+
+  int early = RawConnect();
+  const std::string query = wire::BuildQuery(
+      "members", wire::QueryMode::kMembership, {"key-1"});
+  ASSERT_TRUE(net::SendAll(early, query.data(), query.size()));
+  std::string response;
+  ASSERT_EQ(net::ReadFrame(early, wire::kMaxFrameBytes, &response),
+            net::FrameRead::kOk);
+  EXPECT_EQ(wire::Frame(response),
+            wire::BuildError(wire::WireStatus::kBadFrame,
+                             "the first frame on a connection must be HELLO"));
+  EXPECT_EQ(net::ReadFrame(early, wire::kMaxFrameBytes, &response),
+            net::FrameRead::kClosed);
+  net::CloseFd(early);
+
+  int fd = RawConnect();
+  Handshake(fd);
+  std::string stream;
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < 8; ++i) {
+    const std::vector<std::string> keys =
+        MixedKeys(1 + i * 8 % ShbfServer::kInlineMaxKeys, i);
+    const bool use_sharded = i % 2 == 0;
+    stream += wire::BuildQuery(use_sharded ? "sharded" : "dynamic",
+                               wire::QueryMode::kMembership, keys);
+    expected.push_back(
+        ExpectedMembershipPayload(use_sharded ? *sharded : *dynamic, keys));
+  }
+  ASSERT_TRUE(net::SendAll(fd, stream.data(), stream.size()));
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(ReadOkPayload(fd), expected[i]) << "response " << i;
+  }
+  net::CloseFd(fd);
+  EXPECT_EQ(InlineFrames(), inline_before);
+}
+
+// A peer that pipelines small QUERYs and never reads: the inline answers
+// pile up in its output buffer, whose watermark pauses its reads exactly
+// as worker answers do, so the server stops reading it (the peer's sends
+// stall) instead of buffering without bound. Other connections stay
+// served, and once the peer reads, every answer arrives, in order.
+TEST_P(ServerTortureTest, NeverReadingPeerOfSmallQueriesIsBackpressured) {
+  StartServer();
+  const uint64_t engaged_before =
+      obs::MetricsRegistry::Global()
+          .GetCounter("server.backpressure_engaged_total")
+          ->Value();
+  int fd = RawConnect();
+  Handshake(fd);
+  // Empty keys: the most answer bytes per request byte an inline QUERY
+  // can produce, so the output watermark is reached soonest.
+  const std::vector<std::string> keys(ShbfServer::kInlineMaxKeys);
+  const std::string frame =
+      wire::BuildQuery("members", wire::QueryMode::kMembership, keys);
+  std::string chunk;
+  for (int i = 0; i < 256; ++i) chunk += frame;
+  ASSERT_TRUE(net::SetNonBlocking(fd));
+  // Small peer-side socket buffers, so the server's own buffering is what
+  // the stall measures.
+  const int kPeerBuffer = 64 * 1024;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kPeerBuffer, sizeof(kPeerBuffer));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kPeerBuffer, sizeof(kPeerBuffer));
+  // Far past the 8 MiB output watermark plus every socket buffer: a server
+  // that kept reading would swallow all of it.
+  constexpr size_t kSendCeiling = size_t{512} << 20;
+  size_t sent = 0;
+  bool stalled = false;
+  while (sent < kSendCeiling) {
+    const size_t at = sent % chunk.size();
+    size_t wrote = 0;
+    const net::IoResult result =
+        net::SendSome(fd, chunk.data() + at, chunk.size() - at, &wrote);
+    ASSERT_NE(result, net::IoResult::kError);
+    sent += wrote;
+    if (result != net::IoResult::kWouldBlock) continue;
+    pollfd writable{fd, POLLOUT, 0};
+    if (::poll(&writable, 1, 1000) == 0) {
+      stalled = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(stalled) << "the server kept reading " << sent << " bytes";
+  if (!GetParam() && obs::Enabled()) {
+    EXPECT_GT(obs::MetricsRegistry::Global()
+                  .GetCounter("server.backpressure_engaged_total")
+                  ->Value(),
+              engaged_before);
+  }
+  ExpectServerAlive();
+
+  // Read everything back while completing the last, partly sent frame.
+  const size_t frames = (sent + frame.size() - 1) / frame.size();
+  const std::string tail = frame.substr(sent % frame.size() == 0
+                                            ? frame.size()
+                                            : sent % frame.size());
+  std::atomic<bool> reading_done{false};
+  std::thread finisher([&] {
+    size_t done = 0;
+    while (done < tail.size() && !reading_done.load()) {
+      size_t wrote = 0;
+      const net::IoResult result =
+          net::SendSome(fd, tail.data() + done, tail.size() - done, &wrote);
+      if (result == net::IoResult::kError) return;
+      done += wrote;
+      if (result == net::IoResult::kWouldBlock) {
+        pollfd writable{fd, POLLOUT, 0};
+        ::poll(&writable, 1, 100);
+      }
+    }
+  });
+  const auto local = BuildFilter("shbf_m", 2000);
+  const std::string want = ExpectedMembershipPayload(*local, keys);
+  size_t answered = 0;
+  [&] {
+    server::FrameSplitter splitter(wire::kMaxFrameBytes);
+    std::vector<char> buffer(256 * 1024);
+    while (answered < frames) {
+      size_t got = 0;
+      const net::IoResult result =
+          net::RecvSome(fd, buffer.data(), buffer.size(), &got);
+      ASSERT_NE(result, net::IoResult::kError);
+      ASSERT_NE(result, net::IoResult::kEof) << "after " << answered;
+      if (result == net::IoResult::kWouldBlock) {
+        pollfd readable{fd, POLLIN, 0};
+        ASSERT_GT(::poll(&readable, 1, 10000), 0) << "after " << answered;
+        continue;
+      }
+      splitter.Feed(buffer.data(), got);
+      std::string_view body;
+      while (splitter.Next(&body) == server::FrameSplitter::Event::kFrame) {
+        wire::WireStatus status;
+        std::string_view payload;
+        std::string message;
+        ASSERT_TRUE(wire::ParseResponse(body, &status, &payload, &message));
+        ASSERT_EQ(status, wire::WireStatus::kOk) << message;
+        ASSERT_EQ(payload, want) << "response " << answered;
+        ++answered;
+      }
+    }
+  }();
+  reading_done.store(true);
+  finisher.join();
+  EXPECT_EQ(answered, frames);
+  net::CloseFd(fd);
+}
+
+// The default worker count follows the CPUs the process may run on, not
+// the host's core count: a server started under `taskset -c 1-2` gets 2
+// workers. The loop is built (never started) on a thread whose affinity
+// mask is narrowed to one CPU, then two.
+TEST(EventLoopTest, DefaultWorkersFollowTheAffinityMask) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+  }
+  for (size_t want : {size_t{1}, size_t{2}}) {
+    if (cpus.size() < want) continue;
+    size_t workers = 0;
+    std::thread pinned([&] {
+      cpu_set_t narrow;
+      CPU_ZERO(&narrow);
+      for (size_t i = 0; i < want; ++i) CPU_SET(cpus[i], &narrow);
+      ASSERT_EQ(::sched_setaffinity(0, sizeof(narrow), &narrow), 0);
+      server::EventLoop loop(/*listen_fd=*/-1, server::EventLoopOptions{},
+                             [](std::string_view, bool*,
+                                const server::EventLoop::FrameContext&) {
+                               return server::EventLoop::FrameResult{};
+                             });
+      workers = loop.num_workers();
+    });
+    pinned.join();
+    EXPECT_EQ(workers, want);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, ServerTortureTest, ::testing::Bool(),

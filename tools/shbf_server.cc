@@ -68,7 +68,8 @@ void PrintUsage(std::FILE* out) {
       "  --bind=ADDR         IPv4 bind address (default 127.0.0.1)\n"
       "  --batch=N           engine group size per QUERY frame (default 32)\n"
       "  --threads=N         event-loop worker threads (default 0 = one\n"
-      "                      per hardware thread, clamped to [1,8])\n"
+      "                      per CPU in the affinity mask, clamped to\n"
+      "                      [1,8])\n"
       "  --max-conns=N       concurrent-connection ceiling; new sockets\n"
       "                      past it are accepted and closed (default 0 =\n"
       "                      unlimited)\n"
