@@ -26,8 +26,8 @@
 // window). --compare runs the epoll AND legacy modes over the identical
 // workload and prints one row each. --json appends the same rows to a
 // JSON report (CI archives BENCH_serve.json); each row also carries the
-// SERVER-side queue-wait quantiles (server_queue_p50_us/p99/p999),
-// fetched over the wire with the METRICS opcode after the timed run, and
+// SERVER-side queue-wait quantiles (server_queue_p50_us/p99/p999) of the
+// timed run alone (the METRICS histogram after it minus the one before), and
 // server_inline_share: the share of the run's QUERY frames the event loop
 // answered on its own thread (server.inline_frames_total over
 // server.op.query.frames_total, both as deltas over the timed run).
@@ -98,15 +98,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
   *value = arg + prefix.size();
   return true;
-}
-
-/// A counter's value in a METRICS snapshot; 0 when absent.
-uint64_t CounterValue(const obs::MetricsSnapshot& snapshot,
-                      std::string_view name) {
-  for (const auto& [counter, value] : snapshot.counters) {
-    if (counter == name) return value;
-  }
-  return 0;
 }
 
 double Percentile(std::vector<double>* sorted_into, double fraction) {
@@ -362,15 +353,21 @@ int RunMode(const Config& config, bool legacy, const std::string& host_in,
     ShbfClient::ServerMetrics server_metrics;
     if (metrics_client.Connect(host, port).ok() &&
         metrics_client.Metrics(&server_metrics).ok()) {
+      // The histogram is process-global: subtract the baseline so an
+      // earlier mode's run (--compare) does not leak into this row.
       if (const obs::HistogramSnapshot* queue_wait =
               server_metrics.snapshot.FindHistogram("server.queue_wait_us")) {
-        row.Set("server_queue_p50_us", queue_wait->Quantile(0.50))
-            .Set("server_queue_p99_us", queue_wait->Quantile(0.99))
-            .Set("server_queue_p999_us", queue_wait->Quantile(0.999));
+        const obs::HistogramSnapshot* before =
+            metrics_before.snapshot.FindHistogram("server.queue_wait_us");
+        const obs::HistogramSnapshot run =
+            before != nullptr ? queue_wait->Since(*before) : *queue_wait;
+        row.Set("server_queue_p50_us", run.Quantile(0.50))
+            .Set("server_queue_p99_us", run.Quantile(0.99))
+            .Set("server_queue_p999_us", run.Quantile(0.999));
       }
       const auto delta = [&](std::string_view name) {
-        return CounterValue(server_metrics.snapshot, name) -
-               CounterValue(metrics_before.snapshot, name);
+        return server_metrics.snapshot.CounterValue(name) -
+               metrics_before.snapshot.CounterValue(name);
       };
       const uint64_t query_frames = delta("server.op.query.frames_total");
       if (query_frames != 0) {

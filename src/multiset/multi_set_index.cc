@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/task_pool.h"
 #include "obs/metrics.h"
 
 namespace shbf {
@@ -207,14 +206,6 @@ void MultiSetIndex::WhichSets(std::string_view key, SetIdBitmap* out) const {
   probes_.fetch_add(probes, std::memory_order_relaxed);
 }
 
-namespace {
-
-/// Below this many keys the parallel fan-out's task handoff outweighs the
-/// probe work it spreads; matches the sharded wrapper's threshold.
-constexpr size_t kParallelWhichSetsMinKeys = 512;
-
-}  // namespace
-
 template <typename Keys>
 void MultiSetIndex::WhichSetsBatchImpl(const Keys& keys,
                                        std::vector<SetIdBitmap>* out) const {
@@ -225,104 +216,68 @@ void MultiSetIndex::WhichSetsBatchImpl(const Keys& keys,
   // tree saved versus brute-force scanning every leaf. pruned/probes is the
   // summary tree's effectiveness ratio in the metrics dump.
   uint64_t pruned = 0;
-  const bool parallel = keys.size() >= kParallelWhichSetsMinKeys;
+  std::vector<uint8_t> results;
 
-  // Scan leaves see every key, in one engine pass per filter. Distinct
-  // leaves are distinct filter objects, so the passes are independent: fan
-  // them across the pool with per-leaf result buffers and merge the bitmap
-  // updates serially afterwards (two tasks must not Set() the same bitmap).
-  std::vector<size_t> live_scan;
-  live_scan.reserve(scan_leaves_.size());
+  // Scan leaves see every key, in one engine pass per filter.
   for (size_t leaf : scan_leaves_) {
     const Node& node = nodes_[leaf];
-    if (node.live && node.filter != nullptr) live_scan.push_back(leaf);
-  }
-  {
-    std::vector<std::vector<uint8_t>> leaf_results(live_scan.size());
-    auto scan_one = [&](size_t t) {
-      engine_.ContainsBatch(*nodes_[live_scan[t]].filter, keys,
-                            &leaf_results[t]);
-    };
-    if (parallel && live_scan.size() >= 2) {
-      TaskPool::Shared().ParallelFor(live_scan.size(), scan_one);
-    } else {
-      for (size_t t = 0; t < live_scan.size(); ++t) scan_one(t);
-    }
-    for (size_t t = 0; t < live_scan.size(); ++t) {
-      probes += keys.size();
-      const Node& node = nodes_[live_scan[t]];
-      for (size_t i = 0; i < keys.size(); ++i) {
-        if (leaf_results[t][i] != 0) (*out)[i].Set(node.set_id);
-      }
+    if (!node.live || node.filter == nullptr) continue;
+    engine_.ContainsBatch(*node.filter, keys, &results);
+    probes += keys.size();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (results[i] != 0) (*out)[i].Set(node.set_id);
     }
   }
 
   // Tree descent: each work item is (node, indices of keys still alive for
   // that subtree). One engine batch per node resolves the whole frontier —
   // hashes precomputed and windows prefetched across the group — and only
-  // the survivors descend. The descent proceeds in waves (one wave = one
-  // tree level of pending items): every item in a wave touches a distinct
-  // node, so the engine passes fan across the pool; the bitmap updates and
-  // the next wave's construction stay serial, in wave order, which keeps
-  // answers and the probe count bit-identical to the old depth-first loop.
+  // the survivors descend. Everything runs on the calling thread; the
+  // answers and the probe count do not depend on the visiting order.
   struct Work {
     size_t node;
     std::vector<uint32_t> alive;
   };
   std::vector<uint32_t> all(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) all[i] = static_cast<uint32_t>(i);
-  std::vector<Work> wave;
-  wave.reserve(roots_.size());
-  for (size_t root : roots_) wave.push_back(Work{root, all});
+  std::vector<Work> stack;
+  stack.reserve(roots_.size());
+  for (size_t root : roots_) stack.push_back(Work{root, all});
 
   // Survivor frontiers are views into the caller's keys — the descent
   // copies indices and pointers, never key bytes.
-  while (!wave.empty()) {
-    std::vector<std::vector<uint32_t>> survivors(wave.size());
-    auto probe_one = [&](size_t t) {
-      const Work& work = wave[t];
-      const Node& node = nodes_[work.node];
-      if (node.is_leaf && (!node.live || node.filter == nullptr)) return;
-      std::vector<uint8_t> results;
-      // A full frontier probes `keys` directly, skipping even the view
-      // gather (once per root per batch).
-      if (work.alive.size() == keys.size()) {
-        engine_.ContainsBatch(*node.filter, keys, &results);
-      } else {
-        std::vector<std::string_view> gathered;
-        gathered.reserve(work.alive.size());
-        for (uint32_t i : work.alive) gathered.emplace_back(keys[i]);
-        engine_.ContainsBatch(*node.filter, gathered, &results);
-      }
-      survivors[t].reserve(work.alive.size());
-      for (size_t g = 0; g < work.alive.size(); ++g) {
-        if (results[g] != 0) survivors[t].push_back(work.alive[g]);
-      }
-    };
-    if (parallel && wave.size() >= 2) {
-      TaskPool::Shared().ParallelFor(wave.size(), probe_one);
+  std::vector<std::string_view> gathered;
+  while (!stack.empty()) {
+    Work work = std::move(stack.back());
+    stack.pop_back();
+    const Node& node = nodes_[work.node];
+    if (node.is_leaf && (!node.live || node.filter == nullptr)) continue;
+    // A full frontier probes `keys` directly, skipping even the view
+    // gather (once per root per batch).
+    if (work.alive.size() == keys.size()) {
+      engine_.ContainsBatch(*node.filter, keys, &results);
     } else {
-      for (size_t t = 0; t < wave.size(); ++t) probe_one(t);
+      gathered.clear();
+      for (uint32_t i : work.alive) gathered.emplace_back(keys[i]);
+      engine_.ContainsBatch(*node.filter, gathered, &results);
     }
-    std::vector<Work> next;
-    for (size_t t = 0; t < wave.size(); ++t) {
-      const Node& node = nodes_[wave[t].node];
-      if (node.is_leaf && (!node.live || node.filter == nullptr)) continue;
-      probes += wave[t].alive.size();
-      if (!node.is_leaf) {
-        pruned += wave[t].alive.size() - survivors[t].size();
-      }
-      if (survivors[t].empty()) continue;
-      if (node.is_leaf) {
-        for (uint32_t i : survivors[t]) (*out)[i].Set(node.set_id);
-        continue;
-      }
-      for (size_t c = 0; c + 1 < node.children.size(); ++c) {
-        next.push_back(Work{node.children[c], survivors[t]});
-      }
-      next.push_back(Work{node.children.back(), std::move(survivors[t])});
+    probes += work.alive.size();
+    // Compact the frontier to its survivors in place.
+    size_t survivors = 0;
+    for (size_t g = 0; g < work.alive.size(); ++g) {
+      if (results[g] != 0) work.alive[survivors++] = work.alive[g];
     }
-    wave = std::move(next);
+    if (!node.is_leaf) pruned += work.alive.size() - survivors;
+    work.alive.resize(survivors);
+    if (work.alive.empty()) continue;
+    if (node.is_leaf) {
+      for (uint32_t i : work.alive) (*out)[i].Set(node.set_id);
+      continue;
+    }
+    for (size_t c = 0; c + 1 < node.children.size(); ++c) {
+      stack.push_back(Work{node.children[c], work.alive});
+    }
+    stack.push_back(Work{node.children.back(), std::move(work.alive)});
   }
   probes_.fetch_add(probes, std::memory_order_relaxed);
   if (obs::Enabled()) {

@@ -24,11 +24,12 @@
 // children become tree roots. Sparse member filters (high bits/key) earn
 // deep trees; densely filled ones degrade gracefully toward the scan.
 //
-// Batched queries (WhichSetsBatch) descend the tree level by level with a
-// shared BatchQueryEngine pass per node: every key still alive for that
-// subtree is hashed, prefetched and resolved in one two-pass engine call,
-// so the engine's memory-level parallelism applies at every level of the
-// descent — and dead keys leave the frontier at the highest level possible.
+// Batched queries (WhichSetsBatch) descend the tree with one shared
+// BatchQueryEngine pass per node, on the calling thread: every key still
+// alive for that subtree is hashed, prefetched and resolved in one two-pass
+// engine call, so the engine's memory-level parallelism applies at every
+// level of the descent — and dead keys leave the frontier at the highest
+// level possible.
 //
 // Thread safety: queries are const and safe to run concurrently AFTER
 // PrepareForConstReads(); AddKey / AddKeys / RemoveSet require exclusive

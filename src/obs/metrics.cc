@@ -106,6 +106,18 @@ double HistogramSnapshot::Quantile(double q) const {
   return static_cast<double>(BucketUpperBound(kNumBuckets - 1));
 }
 
+HistogramSnapshot HistogramSnapshot::Since(
+    const HistogramSnapshot& baseline) const {
+  const auto minus = [](uint64_t a, uint64_t b) { return a >= b ? a - b : 0; };
+  HistogramSnapshot delta = *this;
+  delta.count = minus(count, baseline.count);
+  delta.sum = minus(sum, baseline.sum);
+  for (size_t i = 0; i < kNumBuckets; ++i) {
+    delta.buckets[i] = minus(buckets[i], baseline.buckets[i]);
+  }
+  return delta;
+}
+
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
   for (const Cell& cell : cells_) {

@@ -156,6 +156,11 @@ struct HistogramSnapshot {
   /// linear interpolation between the bucket's bounds. Returns 0 when
   /// empty.
   double Quantile(double q) const;
+
+  /// The samples recorded after `baseline`, an earlier snapshot of the
+  /// same histogram: count, sum and every bucket minus the baseline's,
+  /// each clamped at 0.
+  HistogramSnapshot Since(const HistogramSnapshot& baseline) const;
 };
 
 /// Log2-bucketed histogram. Record() is: find bucket (a bit-scan), two

@@ -832,8 +832,9 @@ ShbfServer::Response ShbfServer::HandleReload(ByteReader* reader) {
 }
 
 ShbfServer::Response ShbfServer::HandleWhichSets(ByteReader* reader) {
-  std::vector<std::string> keys;
-  if (!serde::ReadKeyList(reader, &keys) || !reader->AtEnd()) {
+  // Views into the request body, as in QUERY: no per-key copies.
+  std::vector<std::string_view> keys;
+  if (!serde::ReadKeyViews(reader, &keys) || !reader->AtEnd()) {
     return Error(wire::WireStatus::kBadFrame,
                  "WHICH_SETS: malformed key list");
   }

@@ -98,6 +98,35 @@ TEST(Histogram, QuantilesBracketTheRecordedValues) {
   EXPECT_LE(snapshot.Quantile(0.90), snapshot.Quantile(0.999));
 }
 
+TEST(Histogram, SinceSubtractsTheBaselineBucketByBucket) {
+  if (!kCompiledIn) GTEST_SKIP() << "metrics compiled out";
+  EnabledGuard guard;
+  Histogram histogram;
+  // An earlier run's slow samples, then this run's fast ones.
+  for (int i = 0; i < 50; ++i) histogram.Record(10000);
+  const HistogramSnapshot before = histogram.Snapshot();
+  for (int i = 0; i < 20; ++i) histogram.Record(0);
+  histogram.Record(100);
+  const HistogramSnapshot run = histogram.Snapshot().Since(before);
+  EXPECT_EQ(run.count, 21u);
+  EXPECT_EQ(run.sum, 100u);
+  EXPECT_EQ(run.buckets[0], 20u);
+  EXPECT_EQ(run.buckets[7], 1u);
+  EXPECT_EQ(run.buckets[14], 0u);
+  // Without the baseline the earlier run's waits would dominate the tail.
+  EXPECT_GT(histogram.Snapshot().Quantile(0.99), 8192.0);
+  EXPECT_LE(run.Quantile(0.99), 128.0);
+  EXPECT_LE(run.Quantile(0.50), 1.0);
+  // A snapshot minus itself is empty; a baseline that is ahead (a reset
+  // server) clamps at zero instead of wrapping.
+  EXPECT_EQ(before.Since(before).count, 0u);
+  EXPECT_EQ(before.Since(before).Quantile(0.99), 0.0);
+  const HistogramSnapshot clamped = before.Since(histogram.Snapshot());
+  EXPECT_EQ(clamped.count, 0u);
+  EXPECT_EQ(clamped.sum, 0u);
+  EXPECT_EQ(clamped.buckets[0], 0u);
+}
+
 TEST(Histogram, EmptyQuantileIsZero) {
   Histogram histogram;
   EXPECT_EQ(histogram.Snapshot().count, 0u);

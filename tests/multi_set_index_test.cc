@@ -96,6 +96,49 @@ TEST(MultiSetIndexTest, BitIdenticalToBruteForceOverMixedBackends) {
   }
 }
 
+TEST(MultiSetIndexTest, LargeBatchOverTreeAndScanLeavesMatchesBruteForce) {
+  // A frame-sized batch (every member key plus absent ones, > 1024 keys)
+  // over two trees and a scan list: the batch answers on the calling thread
+  // must match brute force, through both overloads, and consult exactly as
+  // many filters as the per-key descent does.
+  SetCatalog catalog =
+      MakeCatalog({"shbf_m", "shbf_m", "bloom", "cuckoo", "shbf_x"}, 20, 80);
+  std::unique_ptr<MultiSetIndex> index;
+  ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+  ASSERT_EQ(index->stats().trees, 2u);
+  ASSERT_EQ(index->stats().scan_leaves, 8u);
+
+  std::vector<std::string> queries;
+  for (size_t i = 0; i < 20; ++i) {
+    for (size_t k = 0; k < 80; ++k) {
+      queries.push_back("set-" + std::to_string(i) + "-key-" +
+                        std::to_string(k));
+    }
+  }
+  for (int i = 0; i < 600; ++i) queries.push_back("absent-" + std::to_string(i));
+  ASSERT_GE(queries.size(), 1024u);
+  const std::vector<std::string_view> views(queries.begin(), queries.end());
+
+  const uint64_t before = index->stats().probes;
+  std::vector<SetIdBitmap> batched;
+  index->WhichSetsBatch(queries, &batched);
+  const uint64_t batch_probes = index->stats().probes - before;
+  std::vector<SetIdBitmap> from_views;
+  index->WhichSetsBatch(views, &from_views);
+  ASSERT_EQ(batched.size(), queries.size());
+  EXPECT_EQ(from_views, batched);
+
+  const uint64_t per_key_before = index->stats().probes;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const SetIdBitmap want = BruteForce(catalog, queries[q]);
+    ASSERT_EQ(batched[q], want) << "batch diverges at query " << q;
+    SetIdBitmap single;
+    index->WhichSets(queries[q], &single);
+    ASSERT_EQ(single, want) << "single-key diverges at query " << q;
+  }
+  EXPECT_EQ(index->stats().probes - per_key_before, batch_probes);
+}
+
 TEST(MultiSetIndexTest, ForceScanMatchesTreeAnswers) {
   SetCatalog catalog = MakeCatalog({"shbf_m"}, 32, 60);
   std::unique_ptr<MultiSetIndex> tree;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +33,114 @@ FilterSpec ShardedSpec(uint32_t shards, uint64_t seed = 0x5a4d) {
 std::vector<std::string> Keys(size_t n, uint64_t seed) {
   TraceGenerator gen(seed);
   return gen.DistinctFlowKeys(n);
+}
+
+/// Threads of this process, from /proc/self/task.
+size_t ThreadCount() {
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
+}
+
+/// A registry-built sharded filter over shbf_m holding the first half of
+/// `universe`. One shard is below the registry's wrapping threshold, so
+/// that case wraps a single registry-built shard directly.
+std::unique_ptr<MembershipFilter> MakeRegistrySharded(
+    uint32_t shards, const std::vector<std::string>& universe) {
+  const auto& registry = FilterRegistry::Global();
+  std::unique_ptr<MembershipFilter> filter;
+  if (shards == 1) {
+    std::unique_ptr<MembershipFilter> shard;
+    CheckOk(registry.Create("shbf_m", ShardedSpec(1), &shard));
+    std::vector<std::unique_ptr<MembershipFilter>> one;
+    one.push_back(std::move(shard));
+    filter = std::make_unique<ShardedMembershipFilter>("shbf_m", 16,
+                                                       std::move(one));
+  } else {
+    CheckOk(registry.Create("shbf_m", ShardedSpec(shards), &filter));
+  }
+  for (size_t i = 0; i < universe.size() / 2; ++i) filter->Add(universe[i]);
+  return filter;
+}
+
+// Parallelism belongs to the callers: a large batch over many shards starts
+// no threads and answers every sub-batch on the calling thread. First in the
+// file, so the thread count is taken before any other batch has run here.
+TEST(ShardedFilterTest, BatchesRunOnTheCallingThread) {
+  const auto universe = Keys(4096, 0x7a5c);
+  const auto filter = MakeRegistrySharded(8, universe);
+  ShardedFilter<ShbfM> concrete(8, [](size_t) {
+    return std::make_unique<ShbfM>(
+        ShbfM::Params{.num_bits = 40000, .num_hashes = 8});
+  });
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<size_t> sub_batches{0};
+  std::atomic<size_t> elsewhere{0};
+  concrete.SetBatchFn([&](const ShbfM& shard,
+                          const std::vector<std::string_view>& keys,
+                          std::vector<uint8_t>* results) {
+    ++sub_batches;
+    if (std::this_thread::get_id() != caller) ++elsewhere;
+    results->resize(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      (*results)[i] = shard.Contains(keys[i]) ? 1 : 0;
+    }
+  });
+
+  const size_t threads_before = ThreadCount();
+  std::vector<uint8_t> results;
+  filter->ContainsBatch(universe, &results);
+  concrete.ContainsBatch(universe, &results);
+  EXPECT_EQ(ThreadCount(), threads_before);
+  EXPECT_EQ(sub_batches.load(), 8u);
+  EXPECT_EQ(elsewhere.load(), 0u);
+}
+
+// Batches of every size, on either side of where the batch path once forked
+// into a task pool (512 keys), answer bit for bit like per-key Contains,
+// through the string and view overloads of both layers.
+TEST(ShardedFilterTest, BatchesOfEverySizeMatchPerKeyContains) {
+  const auto universe = Keys(4096, 0xba7c);
+  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+    ShardedFilter<ShbfM> concrete(shards, [](size_t) {
+      return std::make_unique<ShbfM>(
+          ShbfM::Params{.num_bits = 40000, .num_hashes = 8});
+    });
+    for (size_t i = 0; i < universe.size() / 2; ++i) {
+      concrete.Add(universe[i]);
+    }
+    const auto registry_built = MakeRegistrySharded(shards, universe);
+    ASSERT_NE(dynamic_cast<ShardedMembershipFilter*>(registry_built.get()),
+              nullptr);
+    for (size_t n : {size_t{1}, size_t{511}, size_t{512}, size_t{513},
+                     size_t{4096}}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " + std::to_string(n) +
+                   " keys");
+      // Keys from both halves: members and (mostly) non-members.
+      std::vector<std::string> batch;
+      for (size_t i = 0; i < n; ++i) {
+        batch.push_back(universe[(i * 2049) % universe.size()]);
+      }
+      const std::vector<std::string_view> views(batch.begin(), batch.end());
+      std::vector<uint8_t> got;
+      concrete.ContainsBatch(batch, &got);
+      ASSERT_EQ(got.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], concrete.Contains(batch[i]) ? 1 : 0) << i;
+      }
+      std::vector<uint8_t> got_views;
+      concrete.ContainsBatch(views, &got_views);
+      EXPECT_EQ(got_views, got);
+
+      registry_built->ContainsBatch(batch, &got);
+      ASSERT_EQ(got.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], registry_built->Contains(batch[i]) ? 1 : 0) << i;
+      }
+      registry_built->ContainsBatch(views, &got_views);
+      EXPECT_EQ(got_views, got);
+    }
+  }
 }
 
 TEST(ShardedFilterTest, ConcreteTemplateShardsAndAnswers) {
