@@ -12,15 +12,15 @@
 //               fallback for the non-mergeable sets
 //
 // The default catalog mixes backends (every `mixed-every`-th set is a
-// cuckoo filter — non-mergeable, scan fallback) and sizes the mergeable
-// sets sparse (64 bits/key), because a summary is the bitwise union of its
+// cuckoo filter — non-mergeable, scan fallback; the rest use --backend,
+// shbf_m by default) and sizes the mergeable sets sparse (64 bits/key), because a summary is the bitwise union of its
 // children: without that headroom the tree adaptively degrades to the scan
 // (the tradeoff docs/multiset.md quantifies).
 //
 // usage: bench_multiset_throughput [--sets=N] [--keys-per-set=N]
 //          [--queries=N] [--member-frac=F] [--bits-per-key=B] [--k=K]
 //          [--branching=B] [--batch=N] [--mixed-every=M] [--chunk=N]
-//          [--json=<path>] [--smoke]
+//          [--backend=NAME] [--json=<path>] [--smoke]
 //
 // --smoke shrinks the workload for CI and turns the run into a gate:
 //   * >= 64 sets over mixed mergeable/non-mergeable backends,
@@ -70,6 +70,8 @@ struct Config {
   size_t mixed_every = 8;
   /// Keys per timed WhichSetsBatch call (the latency-sample unit).
   size_t chunk = 1024;
+  /// Registry backend of every set that is not a cuckoo scan set.
+  std::string backend = "shbf_m";
   std::string json_path;
   bool smoke = false;
 };
@@ -95,7 +97,7 @@ Status BuildCatalog(const Config& config, SetCatalog* catalog) {
     spec.max_count = 8;
     std::unique_ptr<MembershipFilter> filter;
     Status s = FilterRegistry::Global().Create(
-        scan_backend ? "cuckoo" : "shbf_m", spec, &filter);
+        scan_backend ? "cuckoo" : config.backend, spec, &filter);
     if (!s.ok()) return s;
     for (size_t k = 0; k < config.keys_per_set; ++k) filter->Add(SetKey(i, k));
     s = catalog->AddSet("set-" + std::to_string(i), std::move(filter));
@@ -184,9 +186,12 @@ void EmitRow(const Config& config, const char* mode, const RunResult& result,
               config.queries, result.seconds, kqps,
               static_cast<unsigned long long>(result.probes),
               result.seconds > 0 ? linear_seconds / result.seconds : 0.0);
+  // The default backend keeps its historical workload name.
+  const std::string backend =
+      config.backend == Config().backend ? "" : config.backend + "/";
   report->AddRow()
       .Set("workload",
-           "which-sets/" + std::to_string(config.sets) + "x" +
+           "which-sets/" + backend + std::to_string(config.sets) + "x" +
                std::to_string(config.keys_per_set))
       .Set("mode", mode)
       .Set("sets", static_cast<uint64_t>(config.sets))
@@ -287,6 +292,8 @@ int Main(int argc, char** argv) {
       config.mixed_every = std::strtoull(value.c_str(), nullptr, 0);
     } else if (ParseFlag(argv[i], "chunk", &value)) {
       config.chunk = std::strtoull(value.c_str(), nullptr, 0);
+    } else if (ParseFlag(argv[i], "backend", &value)) {
+      config.backend = value;
     } else if (ParseFlag(argv[i], "json", &value)) {
       config.json_path = value;
     } else {
@@ -295,7 +302,7 @@ int Main(int argc, char** argv) {
           "usage: bench_multiset_throughput [--sets=N] [--keys-per-set=N] "
           "[--queries=N] [--member-frac=F] [--bits-per-key=B] [--k=K] "
           "[--branching=B] [--batch=N] [--mixed-every=M] [--chunk=N] "
-          "[--json=<path>] [--smoke]\n");
+          "[--backend=NAME] [--json=<path>] [--smoke]\n");
       return 2;
     }
   }

@@ -1,7 +1,7 @@
 // Vector probe kernels with runtime dispatch (scalar / NEON / AVX2 /
 // AVX-512).
 //
-// Four primitives cover the hot loops of the batched query engine and the
+// Five primitives cover the hot loops of the batched query engine and the
 // packed counter substrate:
 //
 //   MaskTestMany      lane i: (words[i] & needs[i]) == needs[i]
@@ -20,6 +20,9 @@
 //   ExtractFieldMany  lane i: ((lo[i] >> s[i]) | (hi[i] << (64 − s[i])))
 //                     & field_mask — packed-counter extraction across a
 //                     gather of counters, straddle word included.
+//   BlockSubsetFilter BlockSubsetTest over a frontier of block probes,
+//                     compacting it to the hits — one dispatch per
+//                     frontier, so the per-key test inlines into the loop.
 //
 // The AVX2/AVX-512 bodies are compiled per-function (`target("avx2")`,
 // `target("avx512f")`), so no global -mavx2 flag is needed and the binary
@@ -36,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/bits.h"
 #include "core/cpu_features.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -337,6 +341,77 @@ inline void MaskFromShifts(const uint64_t* shifts, uint64_t pattern,
 #endif
     default:
       MaskFromShiftsScalar(shifts, pattern, n, out);
+  }
+}
+
+// ------------------------------------------------------------------------
+// Frontier kernel: one body, instantiated per dispatch level so the
+// level's BlockSubsetTest inlines into the loop
+// ------------------------------------------------------------------------
+
+using BlockTestFn = bool (*)(const uint8_t*, const uint64_t*, size_t);
+
+template <BlockTestFn Test, typename Probe>
+__attribute__((always_inline)) inline size_t BlockSubsetFilterBody(
+    const uint8_t* bits, size_t num_blocks, size_t num_words,
+    const Probe* probes, uint32_t* idx, size_t n) {
+  size_t kept = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const Probe& probe = probes[idx[j]];
+    const uint8_t* block =
+        bits + FastRange64(probe.h1, num_blocks) * num_words * 8;
+    if (Test(block, probe.mask, num_words)) idx[kept++] = idx[j];
+  }
+  return kept;
+}
+
+#if SHBF_SIMD_X86
+template <typename Probe>
+__attribute__((target("avx2"))) size_t BlockSubsetFilterAvx2(
+    const uint8_t* bits, size_t num_blocks, size_t num_words,
+    const Probe* probes, uint32_t* idx, size_t n) {
+  return BlockSubsetFilterBody<BlockSubsetTestAvx2>(bits, num_blocks,
+                                                    num_words, probes, idx, n);
+}
+
+template <typename Probe>
+__attribute__((target("avx512f"))) size_t BlockSubsetFilterAvx512(
+    const uint8_t* bits, size_t num_blocks, size_t num_words,
+    const Probe* probes, uint32_t* idx, size_t n) {
+  return BlockSubsetFilterBody<BlockSubsetTestAvx512>(
+      bits, num_blocks, num_words, probes, idx, n);
+}
+#endif
+
+/// BlockSubsetTest over a frontier. `probes[r]` carries `h1` (the block is
+/// FastRange64(h1, num_blocks) of `bits`, num_words words per block) and
+/// `mask` (num_words words). Keeps, in order, every idx[j] whose mask is a
+/// subset of its block, compacted to the front of `idx`; returns how many
+/// were kept.
+template <typename Probe>
+inline size_t BlockSubsetFilter(const uint8_t* bits, size_t num_blocks,
+                                size_t num_words, const Probe* probes,
+                                uint32_t* idx, size_t n) {
+  switch (ActiveLevel()) {
+#if SHBF_SIMD_X86
+    case Level::kAvx512:
+      if (num_words >= 8) {
+        return BlockSubsetFilterAvx512(bits, num_blocks, num_words, probes,
+                                       idx, n);
+      }
+      [[fallthrough]];
+    case Level::kAvx2:
+      return BlockSubsetFilterAvx2(bits, num_blocks, num_words, probes, idx,
+                                   n);
+#endif
+#if SHBF_SIMD_NEON
+    case Level::kNeon:
+      return BlockSubsetFilterBody<BlockSubsetTestNeon>(
+          bits, num_blocks, num_words, probes, idx, n);
+#endif
+    default:
+      return BlockSubsetFilterBody<BlockSubsetTestScalar>(
+          bits, num_blocks, num_words, probes, idx, n);
   }
 }
 

@@ -176,34 +176,50 @@ Status MultiSetIndex::Build(SetCatalog* catalog,
     if (!s.ok()) return s;
   }
   if (index->levels_ == 0 && !index->scan_leaves_.empty()) index->levels_ = 1;
+  index->AssignProbeFamilies();
   *out = std::move(index);
   return Status::Ok();
 }
 
-void MultiSetIndex::WhichSets(std::string_view key, SetIdBitmap* out) const {
-  *out = SetIdBitmap(id_bound_);
-  uint64_t probes = 0;
-  for (size_t leaf : scan_leaves_) {
-    const Node& node = nodes_[leaf];
-    if (!node.live || node.filter == nullptr) continue;
-    ++probes;
-    if (node.filter->Contains(key)) out->Set(node.set_id);
-  }
-  std::vector<size_t> stack(roots_.rbegin(), roots_.rend());
-  while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
-    stack.pop_back();
-    if (node.is_leaf && (!node.live || node.filter == nullptr)) continue;
-    ++probes;
-    if (!node.filter->Contains(key)) continue;
-    if (node.is_leaf) {
-      out->Set(node.set_id);
-    } else {
-      stack.insert(stack.end(), node.children.rbegin(),
-                   node.children.rend());
+void MultiSetIndex::AssignProbeFamilies() {
+  for (Node& node : nodes_) {
+    const BatchFastPath fp = node.filter->batch_fast_path();
+    if (fp.kind != BatchFastPath::Kind::kSplitBlockShbfM) continue;
+    const auto& filter = *static_cast<const SplitBlockShbfM*>(fp.impl);
+    size_t slot = 0;
+    while (slot < probe_families_.size() &&
+           !probe_families_[slot].SameProbeFamily(filter)) {
+      ++slot;
     }
+    if (slot == probe_families_.size()) {
+      // One block is enough: the slot only derives key probes.
+      probe_families_.emplace_back(SplitBlockShbfM::Params{
+          .num_bits = filter.block_bits(),
+          .num_hashes = filter.num_hashes(),
+          .block_bits = filter.block_bits(),
+          .sub_block_bits = filter.sub_block_bits(),
+          .max_offset_span = filter.max_offset_span(),
+          .hash_algorithm = filter.hash_algorithm(),
+          .seed = filter.seed()});
+    }
+    node.family = slot;
   }
-  probes_.fetch_add(probes, std::memory_order_relaxed);
+}
+
+const SplitBlockShbfM* MultiSetIndex::SharedProbeFilter(
+    const Node& node) const {
+  if (node.family == kNoFamily) return nullptr;
+  const BatchFastPath fp = node.filter->batch_fast_path();
+  if (fp.kind != BatchFastPath::Kind::kSplitBlockShbfM) return nullptr;
+  const auto* filter = static_cast<const SplitBlockShbfM*>(fp.impl);
+  return probe_families_[node.family].SameProbeFamily(*filter) ? filter
+                                                               : nullptr;
+}
+
+void MultiSetIndex::WhichSets(std::string_view key, SetIdBitmap* out) const {
+  std::vector<SetIdBitmap> answers;
+  WhichSetsBatchImpl(std::vector<std::string_view>{key}, &answers);
+  *out = std::move(answers.front());
 }
 
 template <typename Keys>
@@ -216,24 +232,52 @@ void MultiSetIndex::WhichSetsBatchImpl(const Keys& keys,
   // tree saved versus brute-force scanning every leaf. pruned/probes is the
   // summary tree's effectiveness ratio in the metrics dump.
   uint64_t pruned = 0;
+
+  // Each split-block family's key probes, derived on first use: one hash
+  // pass per key per family, however many of its filters the key visits.
+  std::vector<std::unique_ptr<SplitBlockShbfM::KeyProbe[]>> key_probes(
+      probe_families_.size());
   std::vector<uint8_t> results;
+  std::vector<std::string_view> gathered;
 
-  // Scan leaves see every key, in one engine pass per filter.
-  for (size_t leaf : scan_leaves_) {
-    const Node& node = nodes_[leaf];
-    if (!node.live || node.filter == nullptr) continue;
-    engine_.ContainsBatch(*node.filter, keys, &results);
-    probes += keys.size();
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (results[i] != 0) (*out)[i].Set(node.set_id);
+  // Resolves `node` for the keys in `*alive` and compacts `*alive` to the
+  // survivors.
+  auto resolve = [&](const Node& node, std::vector<uint32_t>* alive) {
+    size_t survivors = 0;
+    if (const SplitBlockShbfM* filter = SharedProbeFilter(node)) {
+      auto& shared = key_probes[node.family];
+      if (shared == nullptr) {
+        shared.reset(new SplitBlockShbfM::KeyProbe[keys.size()]);
+        for (size_t i = 0; i < keys.size(); ++i) {
+          probe_families_[node.family].PrepareKeyProbe(keys[i], &shared[i]);
+        }
+      }
+      survivors =
+          filter->ResolveKeyProbes(shared.get(), alive->data(), alive->size());
+    } else {
+      // A full frontier probes `keys` directly; a partial one is gathered
+      // as views into the caller's keys, never copying key bytes.
+      if (alive->size() == keys.size()) {
+        engine_.ContainsBatch(*node.filter, keys, &results);
+      } else {
+        gathered.clear();
+        for (uint32_t i : *alive) gathered.emplace_back(keys[i]);
+        engine_.ContainsBatch(*node.filter, gathered, &results);
+      }
+      for (size_t g = 0; g < alive->size(); ++g) {
+        if (results[g] != 0) (*alive)[survivors++] = (*alive)[g];
+      }
     }
-  }
+    probes += alive->size();
+    if (!node.is_leaf) pruned += alive->size() - survivors;
+    alive->resize(survivors);
+  };
 
-  // Tree descent: each work item is (node, indices of keys still alive for
-  // that subtree). One engine batch per node resolves the whole frontier —
-  // hashes precomputed and windows prefetched across the group — and only
-  // the survivors descend. Everything runs on the calling thread; the
-  // answers and the probe count do not depend on the visiting order.
+  // Every scan leaf and tree root starts from the full frontier; a root's
+  // survivors descend to its children. One start is drained before the
+  // next, so only one subtree's frontiers are live at a time. Everything
+  // runs on the calling thread; the answers and the probe count do not
+  // depend on the visiting order.
   struct Work {
     size_t node;
     std::vector<uint32_t> alive;
@@ -241,43 +285,26 @@ void MultiSetIndex::WhichSetsBatchImpl(const Keys& keys,
   std::vector<uint32_t> all(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) all[i] = static_cast<uint32_t>(i);
   std::vector<Work> stack;
-  stack.reserve(roots_.size());
-  for (size_t root : roots_) stack.push_back(Work{root, all});
-
-  // Survivor frontiers are views into the caller's keys — the descent
-  // copies indices and pointers, never key bytes.
-  std::vector<std::string_view> gathered;
-  while (!stack.empty()) {
-    Work work = std::move(stack.back());
-    stack.pop_back();
-    const Node& node = nodes_[work.node];
-    if (node.is_leaf && (!node.live || node.filter == nullptr)) continue;
-    // A full frontier probes `keys` directly, skipping even the view
-    // gather (once per root per batch).
-    if (work.alive.size() == keys.size()) {
-      engine_.ContainsBatch(*node.filter, keys, &results);
-    } else {
-      gathered.clear();
-      for (uint32_t i : work.alive) gathered.emplace_back(keys[i]);
-      engine_.ContainsBatch(*node.filter, gathered, &results);
+  for (const std::vector<size_t>* starts : {&scan_leaves_, &roots_}) {
+    for (size_t start : *starts) {
+      stack.push_back(Work{start, all});
+      while (!stack.empty()) {
+        Work work = std::move(stack.back());
+        stack.pop_back();
+        const Node& node = nodes_[work.node];
+        if (node.is_leaf && (!node.live || node.filter == nullptr)) continue;
+        resolve(node, &work.alive);
+        if (work.alive.empty()) continue;
+        if (node.is_leaf) {
+          for (uint32_t i : work.alive) (*out)[i].Set(node.set_id);
+          continue;
+        }
+        for (size_t c = 0; c + 1 < node.children.size(); ++c) {
+          stack.push_back(Work{node.children[c], work.alive});
+        }
+        stack.push_back(Work{node.children.back(), std::move(work.alive)});
+      }
     }
-    probes += work.alive.size();
-    // Compact the frontier to its survivors in place.
-    size_t survivors = 0;
-    for (size_t g = 0; g < work.alive.size(); ++g) {
-      if (results[g] != 0) work.alive[survivors++] = work.alive[g];
-    }
-    if (!node.is_leaf) pruned += work.alive.size() - survivors;
-    work.alive.resize(survivors);
-    if (work.alive.empty()) continue;
-    if (node.is_leaf) {
-      for (uint32_t i : work.alive) (*out)[i].Set(node.set_id);
-      continue;
-    }
-    for (size_t c = 0; c + 1 < node.children.size(); ++c) {
-      stack.push_back(Work{node.children[c], work.alive});
-    }
-    stack.push_back(Work{node.children.back(), std::move(work.alive)});
   }
   probes_.fetch_add(probes, std::memory_order_relaxed);
   if (obs::Enabled()) {
@@ -352,6 +379,7 @@ MultiSetIndex::Stats MultiSetIndex::stats() const {
   stats.trees = roots_.size();
   stats.levels = levels_;
   stats.probes = probes_.load(std::memory_order_relaxed);
+  stats.probe_families = probe_families_.size();
   for (const Node& node : nodes_) {
     if (node.is_leaf) continue;
     ++stats.summary_nodes;

@@ -24,12 +24,21 @@
 // children become tree roots. Sparse member filters (high bits/key) earn
 // deep trees; densely filled ones degrade gracefully toward the scan.
 //
-// Batched queries (WhichSetsBatch) descend the tree with one shared
-// BatchQueryEngine pass per node, on the calling thread: every key still
-// alive for that subtree is hashed, prefetched and resolved in one two-pass
-// engine call, so the engine's memory-level parallelism applies at every
-// level of the descent — and dead keys leave the frontier at the highest
-// level possible.
+// Batched queries (WhichSetsBatch) descend the tree on the calling thread,
+// one frontier pass per node: every key still alive for that subtree is
+// resolved against the node's filter, and only survivors descend, so dead
+// keys leave the frontier at the highest level possible. WhichSets(key) is
+// the one-key batch.
+//
+// Shared family probes: a split_block_shbf_m key probe (one hash pass plus
+// the block mask) depends only on the filter's probe family, not on its
+// size (SplitBlockShbfM::SameProbeFamily). At Build every node whose batch
+// fast path is split_block_shbf_m gets a probe-family slot, so a batch
+// hashes each key ONCE per family, and every scan leaf, tree leaf and
+// summary of that family resolves from the shared array (block reduction
+// plus one subset test per key). Nodes of other backends resolve through
+// one BatchQueryEngine pass each. Either way a node visited by a key counts
+// as one probe, so stats().probes still counts filters consulted.
 //
 // Thread safety: queries are const and safe to run concurrently AFTER
 // PrepareForConstReads(); AddKey / AddKeys / RemoveSet require exclusive
@@ -54,6 +63,7 @@
 #include "core/status.h"
 #include "engine/batch_query_engine.h"
 #include "multiset/set_id_bitmap.h"
+#include "shbf/split_block_shbf_membership.h"
 
 namespace shbf {
 
@@ -63,7 +73,8 @@ struct MultiSetIndexOptions {
   /// fan-outs for the same reason B-trees do).
   size_t branching = 8;
 
-  /// Group size of the engine every node's batch resolves through.
+  /// Group size of the engine that resolves nodes outside a shared
+  /// split-block probe family.
   size_t batch_size = 32;
 
   /// Skip tree construction: every set becomes a scan leaf. This is the
@@ -90,9 +101,9 @@ class MultiSetIndex {
   void WhichSets(std::string_view key, SetIdBitmap* out) const;
 
   /// Batched WhichSets: `out` is resized to keys.size(); entry i receives
-  /// WhichSets(keys[i]). Frontier descent with one engine batch per node;
-  /// survivor frontiers are gathered as views into `keys`, so no key bytes
-  /// are copied during the descent.
+  /// WhichSets(keys[i]). Frontier descent with one pass per node; key
+  /// probes are shared per split-block family, and other nodes gather
+  /// survivor frontiers as views into `keys`, so no key bytes are copied.
   void WhichSetsBatch(const std::vector<std::string>& keys,
                       std::vector<SetIdBitmap>* out) const;
 
@@ -127,12 +138,14 @@ class MultiSetIndex {
     size_t trees = 0;          ///< tree roots probed per query
     size_t levels = 0;         ///< deepest tree (1 = leaves only)
     size_t summary_memory_bytes = 0;  ///< footprint of the owned summaries
+    size_t probe_families = 0;  ///< split-block families hashed per batch
     uint64_t probes = 0;       ///< cumulative per-key filter probes served
   };
   Stats stats() const;
 
  private:
   static constexpr size_t kNoParent = static_cast<size_t>(-1);
+  static constexpr size_t kNoFamily = static_cast<size_t>(-1);
 
   struct Node {
     /// Probed filter: the catalog's for leaves (null once dropped),
@@ -143,6 +156,9 @@ class MultiSetIndex {
     std::vector<size_t> children;  ///< empty for leaves
     size_t parent = kNoParent;
     uint32_t set_id = 0;  ///< leaves only
+    /// Slot in probe_families_ whose key probes this node resolves, or
+    /// kNoFamily (resolved through the engine).
+    size_t family = kNoFamily;
     bool is_leaf = false;
     bool live = true;
   };
@@ -157,13 +173,22 @@ class MultiSetIndex {
   Status BuildTree(const std::vector<size_t>& leaves,
                    const FilterRegistry& registry);
 
+  /// Gives every split-block node (leaf, scan leaf or summary) the slot of
+  /// its probe family, opening a slot for each new family.
+  void AssignProbeFamilies();
+
+  /// The split-block filter `node` resolves shared key probes against, or
+  /// null when it must go through the engine. Asked per visit: a wrapper's
+  /// fast path can come and go (DynamicFilter while its delta is in use).
+  const SplitBlockShbfM* SharedProbeFilter(const Node& node) const;
+
   /// Clones `source` via the registry envelope round trip.
   static Status CloneFilter(const MembershipFilter& source,
                             const FilterRegistry& registry,
                             std::unique_ptr<MembershipFilter>* out);
 
-  /// Shared frontier descent behind both WhichSetsBatch overloads; `Keys`
-  /// is a vector of std::string or std::string_view.
+  /// Shared frontier descent behind WhichSets and both WhichSetsBatch
+  /// overloads; `Keys` is a vector of std::string or std::string_view.
   template <typename Keys>
   void WhichSetsBatchImpl(const Keys& keys,
                           std::vector<SetIdBitmap>* out) const;
@@ -176,6 +201,9 @@ class MultiSetIndex {
   std::vector<size_t> roots_;        ///< one per summary tree
   std::vector<size_t> scan_leaves_;  ///< probed for every key
   std::map<uint32_t, size_t> leaf_of_set_;
+  /// One one-block filter per split-block probe family: it derives the
+  /// family's key probes (and outlives any member RemoveSet drops).
+  std::vector<SplitBlockShbfM> probe_families_;
 
   size_t levels_ = 0;
   /// Cumulative key-probe counter (one per key per filter consulted), the

@@ -89,10 +89,10 @@ void SplitBlockShbfM::BuildLayout() {
 }
 
 // ONE 128-bit pass over the key bytes derives everything: the block from
-// h1's high bits (multiply-shift range reduction), the shared offset from
-// a golden-multiplied fold of h1, the per-pair rotations from disjoint
-// 6-bit fields of h2 (parallel Mix64 words past 10 pairs). Nothing here
-// chains — an earlier derivation walked a serial SplitMix64 stream and
+// h1's high bits (multiply-shift range reduction, BlockWordOf), the shared
+// offset from a golden-multiplied fold of h1, the per-pair rotations from
+// disjoint 6-bit fields of h2 (parallel Mix64 words past 10 pairs). Nothing
+// here chains — an earlier derivation walked a serial SplitMix64 stream and
 // called MaskFromShifts per key, and that latency chain (plus per-key
 // vector dispatch) made the split per-key query measurably SLOWER than
 // the blocked one it is meant to beat.
@@ -102,15 +102,15 @@ void SplitBlockShbfM::BuildLayout() {
 // (r + offset) mod sub_block_bits. Clamping bases to [0, s − span] instead
 // — the windowed layout — would pile every first bit into the low third of
 // the sub-word, and the resulting skewed fill measurably breaks the 2x FPR
-// budget. The block prefetch is issued as soon as the block index exists,
-// so the rotation math runs inside the line fetch.
-void SplitBlockShbfM::DeriveLanes(const void* data, size_t len,
-                                  size_t* block_word,
-                                  uint64_t* shifts) const {
+// budget.
+//
+// Only the block depends on num_bits, so the lanes are derived without it:
+// filters of one probe family (SameProbeFamily) share them, and each
+// filter reduces h1 to its own block.
+uint64_t SplitBlockShbfM::DeriveLanes(const void* data, size_t len,
+                                      uint64_t* shifts) const {
   const auto [h1, h2] = family_.HashPair(0, data, len);
-  *block_word = FastRange64(h1, num_blocks_) * (block_bits_ / 64);
-  bits_.Prefetch(*block_word * 64);
-  // The block consumed h1's high bits; the golden multiply re-mixes them
+  // The block consumes h1's high bits; the golden multiply re-mixes them
   // before the offset's own high-bit range reduction.
   const uint64_t offset =
       FastRange64(h1 * 0x9e3779b97f4a7c15ull, max_offset_span_ - 1) + 1;
@@ -127,12 +127,13 @@ void SplitBlockShbfM::DeriveLanes(const void* data, size_t len,
     shifts[i] = base_shift_[i] + rotation;
     shifts[pairs + i] = base_shift_[i] + ((rotation + offset) & sub_mask);
   }
+  return h1;
 }
 
-void SplitBlockShbfM::DeriveProbe(const void* data, size_t len,
-                                  size_t* block_word, uint64_t* mask) const {
+uint64_t SplitBlockShbfM::DeriveMask(const void* data, size_t len,
+                                     uint64_t* mask) const {
   uint64_t shifts[2 * kMaxBatchPairs];
-  DeriveLanes(data, len, block_word, shifts);
+  const uint64_t h1 = DeriveLanes(data, len, shifts);
   const uint32_t pairs = num_hashes_ / 2;
   const uint32_t words = block_bits_ / 64;
   std::fill(mask, mask + words, 0);
@@ -144,12 +145,34 @@ void SplitBlockShbfM::DeriveProbe(const void* data, size_t len,
     mask[word_of_[i]] |= (uint64_t{1} << shifts[i]) |
                          (uint64_t{1} << shifts[pairs + i]);
   }
+  return h1;
+}
+
+bool SplitBlockShbfM::ResolveKeyProbe(const KeyProbe& probe) const {
+  return simd::BlockSubsetTest(bits_.data() + BlockWordOf(probe.h1) * 8,
+                               probe.mask, block_bits_ / 64);
+}
+
+size_t SplitBlockShbfM::ResolveKeyProbes(const KeyProbe* probes,
+                                         uint32_t* alive, size_t n) const {
+  return simd::BlockSubsetFilter(bits_.data(), num_blocks_, block_bits_ / 64,
+                                 probes, alive, n);
+}
+
+bool SplitBlockShbfM::SameProbeFamily(const SplitBlockShbfM& other) const {
+  return family_.algorithm() == other.family_.algorithm() &&
+         family_.master_seed() == other.family_.master_seed() &&
+         num_hashes_ == other.num_hashes_ &&
+         max_offset_span_ == other.max_offset_span_ &&
+         block_bits_ == other.block_bits_ &&
+         sub_block_bits_ == other.sub_block_bits_;
 }
 
 void SplitBlockShbfM::PrepareShiftLanes(std::string_view key,
                                         size_t* block_word,
                                         uint64_t* shifts) const {
-  DeriveLanes(key.data(), key.size(), block_word, shifts);
+  *block_word = BlockWordOf(DeriveLanes(key.data(), key.size(), shifts));
+  bits_.Prefetch(*block_word * 64);
 }
 
 bool SplitBlockShbfM::ResolveLanes(size_t block_word,
@@ -165,32 +188,30 @@ bool SplitBlockShbfM::ResolveLanes(size_t block_word,
 }
 
 uint64_t SplitBlockShbfM::OffsetOf(std::string_view key) const {
-  const auto [h1, h2] = family_.HashPair(0, key.data(), key.size());
-  (void)h2;
-  return FastRange64(h1 * 0x9e3779b97f4a7c15ull, max_offset_span_ - 1) + 1;
+  // Pair 0's second bit sits `offset` past its first, around the circle.
+  uint64_t shifts[2 * kMaxBatchPairs];
+  DeriveLanes(key.data(), key.size(), shifts);
+  return (shifts[num_hashes_ / 2] - shifts[0]) & (sub_block_bits_ - 1);
 }
 
 void SplitBlockShbfM::Add(const void* data, size_t len) {
-  uint64_t mask[kMaxBlockWords];
-  size_t block_word;
-  DeriveProbe(data, len, &block_word, mask);
-  uint8_t* block = bits_.mutable_data() + block_word * 8;
+  KeyProbe probe;
+  PrepareKeyProbe({static_cast<const char*>(data), len}, &probe);
+  uint8_t* block = bits_.mutable_data() + BlockWordOf(probe.h1) * 8;
   const uint32_t words = block_bits_ / 64;
   for (uint32_t w = 0; w < words; ++w) {
     uint64_t word;
     std::memcpy(&word, block + w * 8, sizeof(word));
-    word |= mask[w];
+    word |= probe.mask[w];
     std::memcpy(block + w * 8, &word, sizeof(word));
   }
   ++num_elements_;
 }
 
 bool SplitBlockShbfM::Contains(const void* data, size_t len) const {
-  uint64_t mask[kMaxBlockWords];
-  size_t block_word;
-  DeriveProbe(data, len, &block_word, mask);
-  return simd::BlockSubsetTest(bits_.data() + block_word * 8, mask,
-                               block_bits_ / 64);
+  KeyProbe probe;
+  PrepareKeyProbe({static_cast<const char*>(data), len}, &probe);
+  return ResolveKeyProbe(probe);
 }
 
 bool SplitBlockShbfM::ContainsWithStats(std::string_view key,
@@ -206,7 +227,9 @@ bool SplitBlockShbfM::ContainsWithStats(std::string_view key,
 }
 
 void SplitBlockShbfM::PrepareProbe(std::string_view key, Probe* probe) const {
-  DeriveProbe(key.data(), key.size(), &probe->block_word, probe->mask);
+  probe->block_word =
+      BlockWordOf(DeriveMask(key.data(), key.size(), probe->mask));
+  bits_.Prefetch(probe->block_word * 64);
 }
 
 void SplitBlockShbfM::PrefetchProbe(const Probe& probe) const {
@@ -242,12 +265,7 @@ void SplitBlockShbfM::Clear() {
 }
 
 Status SplitBlockShbfM::MergeFrom(const SplitBlockShbfM& other) {
-  if (family_.algorithm() != other.family_.algorithm() ||
-      family_.master_seed() != other.family_.master_seed() ||
-      num_hashes_ != other.num_hashes_ ||
-      max_offset_span_ != other.max_offset_span_ ||
-      block_bits_ != other.block_bits_ ||
-      sub_block_bits_ != other.sub_block_bits_) {
+  if (!SameProbeFamily(other)) {
     return Status::FailedPrecondition(
         "SplitBlockShbfM::MergeFrom: hash families differ");
   }

@@ -21,7 +21,11 @@
 //     — see PrepareShiftLanes/ResolveLanes;
 //   * the circular placement keeps per-bit fill uniform — a windowed
 //     layout (bases clamped to [0, s − w̄]) concentrates first bits in the
-//     low end of each sub-word and measurably breaks the 2x FPR budget.
+//     low end of each sub-word and measurably breaks the 2x FPR budget;
+//   * only the block index depends on num_bits, so a lookup splits into a
+//     geometry-free KeyProbe (hash pass + mask) and a per-filter resolve
+//     (block reduction + subset test). Filters of one probe family share
+//     the KeyProbe: the multi-set index hashes a key once for all of them.
 //
 // Offsets live in [1, max_offset_span − 1] with max_offset_span <
 // sub_block_bits (default sub_block_bits/2 = 32), mirroring the blocked
@@ -96,6 +100,43 @@ class SplitBlockShbfM {
   void ContainsBatch(const std::vector<std::string>& keys,
                      std::vector<uint8_t>* results) const;
 
+  /// A key's probe with the filter size factored out. The mask depends only
+  /// on the probe family (hash algorithm, seed, k, block_bits,
+  /// sub_block_bits, max_offset_span); only the block index depends on
+  /// num_bits, and it is reduced from `h1` per filter. So every filter of
+  /// one family (SameProbeFamily) resolves the same KeyProbe, and one hash
+  /// pass serves any number of them.
+  struct KeyProbe {
+    uint64_t h1;                    ///< block hash; BlockWordOf reduces it
+    uint64_t mask[kMaxBlockWords];  ///< every pair pattern, pre-positioned
+  };
+
+  /// The geometry-free half of a lookup: one hash pass plus the mask build.
+  /// Contains and Add start here; PrepareProbe runs the same derivation
+  /// straight into its Probe.
+  void PrepareKeyProbe(std::string_view key, KeyProbe* probe) const {
+    probe->h1 = DeriveMask(key.data(), key.size(), probe->mask);
+  }
+
+  /// The per-filter half: `h1`'s block, as the first word of the block.
+  size_t BlockWordOf(uint64_t h1) const {
+    return FastRange64(h1, num_blocks_) * (block_bits_ / 64);
+  }
+
+  /// Resolves a key probe from this filter or any filter of its family;
+  /// identical answer to Contains(key).
+  bool ResolveKeyProbe(const KeyProbe& probe) const;
+
+  /// Frontier form of ResolveKeyProbe: keeps, in order, every alive[j]
+  /// whose probes[alive[j]] resolves true, compacted to the front of
+  /// `alive`; returns how many were kept. One SIMD dispatch per call.
+  size_t ResolveKeyProbes(const KeyProbe* probes, uint32_t* alive,
+                          size_t n) const;
+
+  /// True iff `other` derives the same KeyProbe for every key: everything
+  /// but num_bits matches.
+  bool SameProbeFamily(const SplitBlockShbfM& other) const;
+
   /// Precomputed query state — same shape as SplitBlockBloomFilter::Probe
   /// (and BlockedBloomFilter::Probe), so the engine resolves all three
   /// through one BlockSubsetTest path with no gather staging.
@@ -104,9 +145,8 @@ class SplitBlockShbfM {
     uint64_t mask[kMaxBlockWords];  ///< every pair pattern, pre-positioned
   };
 
-  /// Computes `key`'s block and pair-pattern mask (one hash pass + 2·pairs
-  /// shift/ORs); also issues the block prefetch, so the mask math overlaps
-  /// the fetch.
+  /// Computes `key`'s block and pair-pattern mask (PrepareKeyProbe, then
+  /// BlockWordOf) and issues the block prefetch.
   void PrepareProbe(std::string_view key, Probe* probe) const;
 
   /// Hints the cache to fetch the (single) block `probe` reads.
@@ -168,14 +208,13 @@ class SplitBlockShbfM {
   static constexpr uint32_t kMaxRotWords =
       (kMaxBatchPairs + kFieldsPerWord - 1) / kFieldsPerWord;
 
-  /// One hash pass; hands back the block's first word (prefetched) and the
-  /// 2·pairs shift lanes (first bits, then second bits).
-  void DeriveLanes(const void* data, size_t len, size_t* block_word,
-                   uint64_t* shifts) const;
+  /// The geometry-free derivation: one hash pass, the 2·pairs shift lanes
+  /// (first bits, then second bits); returns h1 for the block reduction.
+  uint64_t DeriveLanes(const void* data, size_t len, uint64_t* shifts) const;
 
-  /// DeriveLanes + the scalar mask build (mask[word_of_[i]] |= 1 << shift).
-  void DeriveProbe(const void* data, size_t len, size_t* block_word,
-                   uint64_t* mask) const;
+  /// DeriveLanes + the scalar mask build (mask[word_of_[i]] |= 1 << shift);
+  /// returns h1.
+  uint64_t DeriveMask(const void* data, size_t len, uint64_t* mask) const;
 
   /// Fills word_of_/base_shift_/rot_word_/rot_shift_ from the
   /// (key-independent) pair→sub-word round-robin mapping.

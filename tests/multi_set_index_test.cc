@@ -2,11 +2,15 @@
 // brute-force Contains loop over the catalog (same false positives, no
 // false negatives) for mixed mergeable/non-mergeable backends, stay correct
 // under incremental AddKey/RemoveSet maintenance, and degrade (not fail)
-// when geometries refuse to merge.
+// when geometries refuse to merge. split_block_shbf_m catalogs (one shared
+// key probe per probe family) get the same checks over dense per-set-sized,
+// sparse tree-forming and mixed-family catalogs.
 
 #include "multiset/multi_set_index.h"
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -14,6 +18,7 @@
 
 #include "api/filter_registry.h"
 #include "api/set_catalog.h"
+#include "engine/dynamic_filter.h"
 
 namespace shbf {
 namespace {
@@ -282,6 +287,169 @@ TEST(MultiSetIndexTest, GeometryClustersThatCannotMergeBecomeSeparateRoots) {
       EXPECT_EQ(got, BruteForce(catalog, key)) << key;
     }
   }
+}
+
+/// Checks WhichSets and both WhichSetsBatch overloads against BruteForce
+/// for every query, and that a batch consults exactly as many filters as
+/// the same keys asked one at a time.
+void ExpectAnswersMatchBruteForce(const MultiSetIndex& index,
+                                  const SetCatalog& catalog,
+                                  const std::vector<std::string>& queries) {
+  const std::vector<std::string_view> views(queries.begin(), queries.end());
+  const uint64_t before = index.stats().probes;
+  std::vector<SetIdBitmap> batched;
+  index.WhichSetsBatch(queries, &batched);
+  const uint64_t batch_probes = index.stats().probes - before;
+  std::vector<SetIdBitmap> from_views;
+  index.WhichSetsBatch(views, &from_views);
+  ASSERT_EQ(batched.size(), queries.size());
+  ASSERT_EQ(from_views, batched);
+
+  const uint64_t single_before = index.stats().probes;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const SetIdBitmap want = BruteForce(catalog, queries[q]);
+    ASSERT_EQ(batched[q], want) << "batch diverges at " << queries[q];
+    SetIdBitmap single;
+    index.WhichSets(queries[q], &single);
+    ASSERT_EQ(single, want) << "single-key diverges at " << queries[q];
+  }
+  EXPECT_EQ(index.stats().probes - single_before, batch_probes);
+}
+
+/// Adds a fresh key to three live sets through the index, drops two sets
+/// (index first, then the catalog), and re-checks every answer.
+void ExpectMaintenanceKeepsAnswers(MultiSetIndex* index, SetCatalog* catalog,
+                                   std::vector<std::string> queries) {
+  const std::vector<const SetCatalog::SetEntry*> entries = catalog->Entries();
+  ASSERT_GE(entries.size(), 4u);
+  for (size_t e : {size_t{0}, size_t{1}, entries.size() - 1}) {
+    const std::string key = "added-later-" + std::to_string(entries[e]->id);
+    ASSERT_TRUE(index->AddKey(entries[e]->id, key).ok());
+    queries.push_back(key);
+  }
+  index->PrepareForConstReads();
+  ExpectAnswersMatchBruteForce(*index, *catalog, queries);
+
+  for (size_t e : {size_t{1}, entries.size() - 2}) {
+    const std::string name = entries[e]->name;
+    ASSERT_TRUE(index->RemoveSet(entries[e]->id).ok());
+    ASSERT_TRUE(catalog->DropSet(name).ok());
+  }
+  ExpectAnswersMatchBruteForce(*index, *catalog, queries);
+}
+
+/// Number of distinct filter sizes in `catalog`.
+size_t DistinctSizes(const SetCatalog& catalog) {
+  std::vector<size_t> sizes;
+  for (const SetCatalog::SetEntry* entry : catalog.Entries()) {
+    sizes.push_back(entry->filter->memory_bytes());
+  }
+  std::sort(sizes.begin(), sizes.end());
+  return std::unique(sizes.begin(), sizes.end()) - sizes.begin();
+}
+
+TEST(MultiSetIndexTest, DenseSplitBlockCatalogOfManyGeometriesSharesOneProbe) {
+  // The perfbench wire_mixed recipe, scaled down: every key joins one
+  // random set, a quarter of them a second; each set is sized from its
+  // own member count at 12 bits/key, k = 8. The sizes differ, so merges
+  // refuse and most sets scan — but all share one probe family.
+  constexpr size_t kSets = 64;
+  constexpr size_t kKeys = kSets * 256;
+  std::mt19937_64 rng(0xd15e);
+  std::vector<std::vector<std::string>> members(kSets);
+  for (size_t i = 0; i < kKeys; ++i) {
+    const std::string key = "dense-key-" + std::to_string(i);
+    const size_t primary = rng() % kSets;
+    members[primary].push_back(key);
+    if (rng() % 4 == 0) {
+      members[(primary + 1 + rng() % (kSets - 1)) % kSets].push_back(key);
+    }
+  }
+  SetCatalog catalog;
+  for (size_t s = 0; s < kSets; ++s) {
+    FilterSpec spec = FilterSpec::ForKeys(members[s].size(), 12.0, 8);
+    std::unique_ptr<MembershipFilter> filter;
+    CheckOk(FilterRegistry::Global().Create("split_block_shbf_m", spec,
+                                            &filter));
+    for (const std::string& key : members[s]) filter->Add(key);
+    CheckOk(catalog.AddSet("set-" + std::to_string(s), std::move(filter)));
+  }
+  ASSERT_GT(DistinctSizes(catalog), 1u);
+  std::unique_ptr<MultiSetIndex> index;
+  ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+  EXPECT_EQ(index->stats().probe_families, 1u);
+  EXPECT_GT(index->stats().scan_leaves, 0u);
+
+  std::vector<std::string> queries;
+  for (size_t i = 0; i < kKeys; i += 37) {
+    queries.push_back("dense-key-" + std::to_string(i));
+  }
+  for (int i = 0; i < 300; ++i) queries.push_back("absent-" + std::to_string(i));
+  ExpectAnswersMatchBruteForce(*index, catalog, queries);
+  ExpectMaintenanceKeepsAnswers(index.get(), &catalog, queries);
+}
+
+TEST(MultiSetIndexTest, SparseSplitBlockCatalogBuildsATreeOnSharedProbes) {
+  SetCatalog catalog = MakeCatalog({"split_block_shbf_m"}, 40, 60);
+  std::unique_ptr<MultiSetIndex> index;
+  ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+  const MultiSetIndex::Stats stats = index->stats();
+  EXPECT_GT(stats.summary_nodes, 0u);
+  EXPECT_EQ(stats.scan_leaves, 0u);
+  EXPECT_EQ(stats.probe_families, 1u) << "summaries join their leaves' family";
+
+  const std::vector<std::string> queries = MakeQueries(40, 60);
+  ExpectAnswersMatchBruteForce(*index, catalog, queries);
+
+  // The tree still prunes: far fewer filters consulted than a scan.
+  MultiSetIndexOptions scan_options;
+  scan_options.force_scan = true;
+  std::unique_ptr<MultiSetIndex> scan;
+  ASSERT_TRUE(MultiSetIndex::Build(&catalog, scan_options, &scan).ok());
+  const uint64_t tree_before = index->stats().probes;
+  std::vector<SetIdBitmap> tree_answers;
+  std::vector<SetIdBitmap> scan_answers;
+  index->WhichSetsBatch(queries, &tree_answers);
+  scan->WhichSetsBatch(queries, &scan_answers);
+  EXPECT_EQ(tree_answers, scan_answers);
+  EXPECT_LT(index->stats().probes - tree_before, scan->stats().probes / 2);
+
+  ExpectMaintenanceKeepsAnswers(index.get(), &catalog, queries);
+}
+
+TEST(MultiSetIndexTest, TwoSplitBlockFamiliesAndACuckooScanLeaf) {
+  // Same backend name, two seeds (two probe families that refuse to
+  // merge), plus non-mergeable cuckoo sets on the engine path. The last
+  // set is a DynamicFilter over split_block_shbf_m: it offers the shared
+  // probe at Build, and must leave it once AddKey puts keys in its delta.
+  SetCatalog catalog;
+  for (size_t i = 0; i < 19; ++i) {
+    const bool cuckoo = i % 6 == 5;
+    FilterSpec spec = FilterSpec::ForKeys(60, 64.0, 4);
+    spec.max_count = 8;
+    spec.seed = i % 2 == 0 ? 0x1111 : 0x2222;
+    if (i == 18) spec.delta_capacity = 1000;
+    std::unique_ptr<MembershipFilter> filter;
+    CheckOk(FilterRegistry::Global().Create(
+        cuckoo ? "cuckoo" : "split_block_shbf_m", spec, &filter));
+    for (size_t k = 0; k < 60; ++k) {
+      filter->Add("set-" + std::to_string(i) + "-key-" + std::to_string(k));
+    }
+    if (auto* dynamic = dynamic_cast<DynamicFilter*>(filter.get())) {
+      dynamic->Flush();  // empty delta: the fast path is offered at Build
+      ASSERT_EQ(filter->batch_fast_path().kind,
+                BatchFastPath::Kind::kSplitBlockShbfM);
+    }
+    CheckOk(catalog.AddSet("set-" + std::to_string(i), std::move(filter)));
+  }
+  std::unique_ptr<MultiSetIndex> index;
+  ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+  EXPECT_EQ(index->stats().probe_families, 2u);
+  EXPECT_GT(index->stats().scan_leaves, 0u);
+
+  const std::vector<std::string> queries = MakeQueries(19, 60);
+  ExpectAnswersMatchBruteForce(*index, catalog, queries);
+  ExpectMaintenanceKeepsAnswers(index.get(), &catalog, queries);
 }
 
 TEST(MultiSetIndexTest, BuildRejectsBadInputs) {

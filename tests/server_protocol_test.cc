@@ -415,17 +415,18 @@ TEST_F(ServerProtocolTest, MultisetOpcodesWithoutCatalogAreUnsupported) {
 }
 
 /// Builds the deterministic multiset catalog the wire tests serve: sparse
-/// shbf_m sets (tree-indexable) with every 8th set a cuckoo (scan
+/// `backend` sets (tree-indexable) with every 8th set a cuckoo (scan
 /// fallback). Construction is seed-stable, so building it twice yields
 /// bit-identical filters — the local copy is the brute-force reference.
-SetCatalog BuildTestCatalog(size_t num_sets, size_t keys_per_set) {
+SetCatalog BuildTestCatalog(size_t num_sets, size_t keys_per_set,
+                            const std::string& backend = "shbf_m") {
   SetCatalog catalog;
   for (size_t i = 0; i < num_sets; ++i) {
     FilterSpec spec = FilterSpec::ForKeys(keys_per_set, 64.0, 4);
     spec.max_count = 8;
     std::unique_ptr<MembershipFilter> filter;
     CheckOk(FilterRegistry::Global().Create(
-        i % 8 == 7 ? "cuckoo" : "shbf_m", spec, &filter));
+        i % 8 == 7 ? "cuckoo" : backend, spec, &filter));
     for (size_t k = 0; k < keys_per_set; ++k) {
       filter->Add("s" + std::to_string(i) + "-k" + std::to_string(k));
     }
@@ -468,6 +469,39 @@ TEST(MultisetServerTest, WhichSetsBitIdenticalToLocalBruteForce) {
   EXPECT_GT(info.summary_memory_bytes, 0u);
   EXPECT_EQ(info.sets[0].name, "s0");
   EXPECT_EQ(info.sets[0].elements, 60u);
+}
+
+TEST(MultisetServerTest, SplitBlockWhichSetsBitIdenticalToLocalBruteForce) {
+  // split_block_shbf_m sets resolve from one shared key probe per frame;
+  // the ids written from each answer bitmap must match brute force.
+  ShbfServer server;
+  ASSERT_TRUE(
+      server.ServeCatalog(BuildTestCatalog(40, 60, "split_block_shbf_m"))
+          .ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  SetCatalog reference = BuildTestCatalog(40, 60, "split_block_shbf_m");
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < 40; ++i) {
+    keys.push_back("s" + std::to_string(i) + "-k" + std::to_string(i));
+  }
+  for (int i = 0; i < 300; ++i) keys.push_back("absent-" + std::to_string(i));
+
+  ShbfClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  std::vector<std::vector<uint32_t>> which;
+  ASSERT_TRUE(client.WhichSets(keys, &which).ok());
+  ASSERT_EQ(which.size(), keys.size());
+  size_t hits = 0;
+  for (size_t q = 0; q < keys.size(); ++q) {
+    std::vector<uint32_t> want;
+    for (const SetCatalog::SetEntry* entry : reference.Entries()) {
+      if (entry->filter->Contains(keys[q])) want.push_back(entry->id);
+    }
+    EXPECT_EQ(which[q], want) << "wire answer diverges at key " << q;
+    hits += want.size();
+  }
+  EXPECT_GE(hits, 40u) << "every member key must report its set";
 }
 
 TEST(MultisetServerTest, IndexAddAndDropMaintainTheIndexIncrementally) {

@@ -90,6 +90,58 @@ TEST(SimdKernelTest, BlockSubsetTestMatchesScalarForEveryBlockWidth) {
   }
 }
 
+// The frontier kernel must keep exactly the indices whose single-probe
+// BlockSubsetTest passes, in order, at every block width and under both
+// dispatch modes — including an empty frontier and repeated indices.
+TEST(SimdKernelTest, BlockSubsetFilterKeepsExactlyTheSubsetHits) {
+  struct Probe {
+    uint64_t h1;
+    uint64_t mask[8];
+  };
+  std::mt19937_64 rng(0xf117);
+  for (size_t num_words = 1; num_words <= 8; ++num_words) {
+    constexpr size_t kBlocks = 37;
+    std::vector<uint64_t> bits(kBlocks * num_words);
+    for (uint64_t& word : bits) word = rng() | rng();  // dense blocks
+    const uint8_t* bytes = reinterpret_cast<const uint8_t*>(bits.data());
+    std::vector<Probe> probes(200);
+    for (Probe& probe : probes) {
+      probe.h1 = rng();
+      const uint64_t* block =
+          bits.data() + FastRange64(probe.h1, kBlocks) * num_words;
+      for (size_t w = 0; w < num_words; ++w) {
+        probe.mask[w] = block[w] & rng() & rng();
+      }
+      if (rng() % 2 == 0) probe.mask[rng() % num_words] |= 1ull << (rng() % 64);
+    }
+    std::vector<uint32_t> frontier;
+    for (size_t i = 0; i < probes.size(); i += 1 + rng() % 3) {
+      frontier.push_back(static_cast<uint32_t>(i));
+      if (i % 7 == 0) frontier.push_back(static_cast<uint32_t>(i));
+    }
+    std::vector<uint32_t> expected;
+    for (uint32_t i : frontier) {
+      if (simd::BlockSubsetTestScalar(
+              bytes + FastRange64(probes[i].h1, kBlocks) * num_words * 8,
+              probes[i].mask, num_words)) {
+        expected.push_back(i);
+      }
+    }
+    ASSERT_GT(expected.size(), 0u);
+    ASSERT_LT(expected.size(), frontier.size());
+    UnderBothDispatchModes([&] {
+      std::vector<uint32_t> idx = frontier;
+      const size_t kept = simd::BlockSubsetFilter(
+          bytes, kBlocks, num_words, probes.data(), idx.data(), idx.size());
+      idx.resize(kept);
+      ASSERT_EQ(idx, expected) << "num_words=" << num_words;
+      EXPECT_EQ(simd::BlockSubsetFilter(bytes, kBlocks, num_words,
+                                        probes.data(), idx.data(), 0),
+                0u);
+    });
+  }
+}
+
 TEST(SimdKernelTest, ExtractFieldManyMatchesScalarIncludingStraddles) {
   std::mt19937_64 rng(0xf1e1d);
   for (uint32_t field_bits : {1u, 4u, 6u, 17u, 32u}) {

@@ -6,8 +6,9 @@
 // and forced-scalar dispatch, no false negatives, FPR within 2x of the
 // unblocked base at a 100k absent-key sample, engine fast path identical to
 // the per-key loop on both sides of the cache-resident batch-size bypass,
-// native + registry serde round trips, merge-as-union, and the v5 envelope
-// still accepting hand-crafted v4 blobs (the sub_block_bits field is a v5
+// native + registry serde round trips, merge-as-union, shared key probes
+// across the sizes of one probe family, and the v5 envelope still
+// accepting hand-crafted v4 blobs (the sub_block_bits field is a v5
 // spec-record extension).
 
 #include <bit>
@@ -375,6 +376,92 @@ TEST(SplitBlockFilterTest, MergeIsSetUnion) {
   ASSERT_TRUE(c.MergeFrom(d).ok());
   EXPECT_TRUE(c.Contains("only-c"));
   EXPECT_TRUE(c.Contains("only-d"));
+}
+
+// A key probe depends only on the probe family, not on num_bits: one
+// filter's KeyProbe, resolved against same-family filters of every size,
+// must answer exactly as each filter's own Contains — under native and
+// forced-scalar dispatch.
+TEST(SplitBlockShbfMTest, KeyProbeResolvesAcrossFilterSizesOfOneFamily) {
+  const auto universe = Universe(0xfa417);
+  std::vector<SplitBlockShbfM> filters;
+  for (size_t num_bits : {size_t{256}, size_t{12} * 1000, size_t{12} * 3001,
+                          size_t{1} << 20}) {
+    filters.emplace_back(SplitBlockShbfM::Params{.num_bits = num_bits,
+                                                 .num_hashes = 8,
+                                                 .sub_block_bits = 32,
+                                                 .max_offset_span = 24,
+                                                 .seed = 0xfa417});
+  }
+  for (size_t f = 0; f < filters.size(); ++f) {
+    ASSERT_TRUE(filters[0].SameProbeFamily(filters[f]));
+    for (size_t i = f; i < kNumKeys; i += filters.size()) {
+      filters[f].Add(universe[i]);
+    }
+  }
+  for (bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar ? "scalar" : "native");
+    simd::ForceScalar(scalar);
+    for (const auto& key : universe) {
+      SplitBlockShbfM::KeyProbe probe;
+      filters[0].PrepareKeyProbe(key, &probe);
+      for (const SplitBlockShbfM& filter : filters) {
+        ASSERT_EQ(filter.ResolveKeyProbe(probe), filter.Contains(key))
+            << key << " against " << filter.num_bits() << " bits";
+      }
+    }
+  }
+  simd::ForceScalar(false);
+}
+
+// SameProbeFamily must notice every parameter the key probe depends on —
+// and only those: num_bits alone never splits a family.
+TEST(SplitBlockShbfMTest, SameProbeFamilyComparesEverythingButNumBits) {
+  const SplitBlockShbfM::Params base{.num_bits = 1 << 14,
+                                     .num_hashes = 8,
+                                     .block_bits = 256,
+                                     .sub_block_bits = 64,
+                                     .max_offset_span = 32,
+                                     .hash_algorithm = HashAlgorithm::kMurmur3,
+                                     .seed = 7};
+  const SplitBlockShbfM reference(base);
+  auto with = [&](auto edit) {
+    SplitBlockShbfM::Params params = base;
+    edit(&params);
+    return SplitBlockShbfM(params);
+  };
+  EXPECT_TRUE(reference.SameProbeFamily(
+      with([](auto* p) { p->num_bits = 3 << 14; })));
+  EXPECT_FALSE(reference.SameProbeFamily(
+      with([](auto* p) { p->hash_algorithm = HashAlgorithm::kFnv1a; })));
+  EXPECT_FALSE(reference.SameProbeFamily(with([](auto* p) { p->seed = 8; })));
+  EXPECT_FALSE(
+      reference.SameProbeFamily(with([](auto* p) { p->num_hashes = 6; })));
+  EXPECT_FALSE(
+      reference.SameProbeFamily(with([](auto* p) { p->block_bits = 512; })));
+  EXPECT_FALSE(reference.SameProbeFamily(
+      with([](auto* p) { p->sub_block_bits = 32; p->max_offset_span = 16; })));
+  EXPECT_FALSE(reference.SameProbeFamily(
+      with([](auto* p) { p->max_offset_span = 31; })));
+}
+
+// The multi-set index clones summaries through the registry envelope; the
+// clone must stay in its source's probe family.
+TEST(SplitBlockShbfMTest, RegistryCloneStaysInTheProbeFamily) {
+  const auto& registry = FilterRegistry::Global();
+  std::unique_ptr<MembershipFilter> filter;
+  ASSERT_TRUE(
+      registry.Create("split_block_shbf_m", TestSpec(0xc10e), &filter).ok());
+  std::unique_ptr<MembershipFilter> clone;
+  ASSERT_TRUE(
+      registry.Deserialize(FilterRegistry::Serialize(*filter), &clone).ok());
+  const BatchFastPath source = filter->batch_fast_path();
+  const BatchFastPath cloned = clone->batch_fast_path();
+  ASSERT_EQ(source.kind, BatchFastPath::Kind::kSplitBlockShbfM);
+  ASSERT_EQ(cloned.kind, BatchFastPath::Kind::kSplitBlockShbfM);
+  EXPECT_TRUE(static_cast<const SplitBlockShbfM*>(source.impl)
+                  ->SameProbeFamily(
+                      *static_cast<const SplitBlockShbfM*>(cloned.impl)));
 }
 
 // Envelope compatibility: a v4 blob (no sub_block_bits in its spec records)
