@@ -33,8 +33,8 @@
 // Defaults (8M build keys at 12 bits/key ≈ 12 MB of filter) size the filter
 // past L2 so the memory-level parallelism the engine extracts is visible;
 // --smoke shrinks everything for CI, widens the sweep to EVERY registered
-// filter, and verifies the batched answers against the per-key path
-// (under both SIMD and forced-scalar dispatch) instead of chasing Mops.
+// filter, and verifies the batched and sharded answers against the per-key
+// path (under both SIMD and forced-scalar dispatch) instead of chasing Mops.
 //
 // CSV on stdout: filter,mode,threads,batch_size,keys,seconds,mops,speedup.
 // --json=<path> writes machine-readable rows (workload, keys/s, p50/p99
@@ -208,17 +208,22 @@ bool RunFilter(const std::string& name, const Config& config,
   run->batched_mops = Mops(query_keys.size(), batched_seconds);
   run->filter_bytes = filter->memory_bytes();
 
-  if (config.smoke) {
-    // CI mode: the value of this binary is that the engine still answers
-    // exactly like the per-key path; Mops on a shared runner prove nothing.
+  // CI mode: the value of this binary is that the engine still answers
+  // exactly like the per-key path; Mops on a shared runner prove nothing.
+  const auto smoke_matches_per_key = [&](const MembershipFilter& answered,
+                                         const char* mode) {
+    if (!config.smoke) return true;
     for (size_t i = 0; i < query_keys.size(); ++i) {
-      if ((results[i] != 0) != filter->Contains(query_keys[i])) {
-        std::fprintf(stderr, "SMOKE FAILED (%s): divergence at key %zu\n",
-                     name.c_str(), i);
+      if ((results[i] != 0) != answered.Contains(query_keys[i])) {
+        std::fprintf(stderr,
+                     "SMOKE FAILED (%s, %s): divergence at key %zu\n",
+                     name.c_str(), mode, i);
         return false;
       }
     }
-  }
+    return true;
+  };
+  if (!smoke_matches_per_key(*filter, "batched")) return false;
 
   // -- batched_scalar: the same engine path with the SIMD kernels demoted,
   // so the batched/batched_scalar gap isolates the vector contribution ----
@@ -275,6 +280,7 @@ bool RunFilter(const std::string& name, const Config& config,
   // stream per thread (chunked for latency samples), so the timed region
   // holds queries only.
   sharded->ContainsBatch(query_keys, &results);
+  if (!smoke_matches_per_key(*sharded, "sharded")) return false;
   std::vector<std::vector<std::vector<std::string>>> slices(config.threads);
   const size_t slice = (query_keys.size() + config.threads - 1) /
                        config.threads;

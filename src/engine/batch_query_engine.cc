@@ -15,31 +15,13 @@
 namespace shbf {
 namespace {
 
-// Below this footprint the filter is cache-resident and the two-pass
-// prefetch protocol is pure overhead: the staging pass writes probes to a
-// scratch vector that pass 2 immediately re-reads, while the prefetches hit
-// lines already in cache. Group size 1 degrades TwoPassLoop to the straight
-// hash → mask → test loop (prepare and resolve back to back, no staging
-// traffic), which measures faster for every blocked/split variant that fits
-// here (docs/benchmarks.md "Cache-resident batch sizing"). 4 MiB sits below
-// typical shared-LLC slices while safely above L2, so filters this small are
-// resident once the batch has touched them.
-constexpr size_t kCacheResidentBytes = size_t{4} << 20;
-
-// The group size the blocked/split fast paths actually run with: the
-// configured batch_size for memory-resident filters (prefetch pipelining
-// wins), 1 for cache-resident ones (staging overhead loses).
-size_t EffectiveGroupSize(size_t filter_bytes, size_t batch_size) {
-  return filter_bytes <= kCacheResidentBytes ? 1 : batch_size;
-}
-
 // A split-block probe touches exactly one line, prefetched inside
 // PrepareProbe, so the staging group only has to keep one fetch per key in
 // flight — eight keys ahead already saturates the core's line-fill buffers
 // (10-12 on current x86). Deeper groups spill probe state out of registers
 // while the surplus prefetches queue behind the buffers: group 8 measures
-// ~14% over group 32 at gate scale (docs/benchmarks.md "Cache-resident
-// batch sizing"). Gather-style paths keep the full batch_size — they issue
+// ~14% over group 32 at gate scale (docs/benchmarks.md "Batch group
+// sizing"). Gather-style paths keep the full batch_size — they issue
 // k fetches per key and need the wider window.
 constexpr size_t kSplitBlockGroupCap = 8;
 
@@ -109,9 +91,7 @@ void BlockedShbfMGroupLoop(const BlockedShbfM& impl, const Keys& keys,
 // PrefetchProbe pass — the split filters' PrepareProbe issues the block
 // prefetch the moment the block index exists (before the mask build), so a
 // second prefetch per key is pure instruction overhead. Pass 2 is one
-// BlockSubsetTest per key; no gather/staging of windows at all. With
-// group_size 1 this degrades to the straight hash → mask → test loop the
-// cache-resident path wants.
+// BlockSubsetTest per key; no gather/staging of windows at all.
 template <typename Impl, typename Keys>
 void SplitBlockProbeLoop(const Impl& impl, const Keys& keys,
                          size_t group_size, std::vector<uint8_t>* results) {
@@ -293,9 +273,7 @@ void ContainsBatchImpl(const MembershipFilter& filter, const Keys& keys,
         // block (256 bits per AVX2 op), so the per-key resolve is vector
         // code all the way down.
         const auto* impl = static_cast<const BlockedBloomFilter*>(fp.impl);
-        TwoPassLoop(*impl, keys,
-                    EffectiveGroupSize(impl->bits().allocated_bytes(),
-                                       batch_size),
+        TwoPassLoop(*impl, keys, batch_size,
                     [&](size_t i, const BlockedBloomFilter::Probe& probe) {
                       (*results)[i] = impl->ResolveProbe(probe) ? 1 : 0;
                     });
@@ -303,10 +281,7 @@ void ContainsBatchImpl(const MembershipFilter& filter, const Keys& keys,
       }
       case BatchFastPath::Kind::kBlockedShbfM: {
         const auto* impl = static_cast<const BlockedShbfM*>(fp.impl);
-        BlockedShbfMGroupLoop(
-            *impl, keys,
-            EffectiveGroupSize(impl->bits().allocated_bytes(), batch_size),
-            results);
+        BlockedShbfMGroupLoop(*impl, keys, batch_size, results);
         return;
       }
       case BatchFastPath::Kind::kSplitBlockBloom: {
@@ -315,10 +290,7 @@ void ContainsBatchImpl(const MembershipFilter& filter, const Keys& keys,
         // (scalar mask build inside PrepareProbe); wide-k ones fuse the
         // group's mask construction into one MaskFromShifts kernel call.
         const auto* impl = static_cast<const SplitBlockBloomFilter*>(fp.impl);
-        const size_t group =
-            std::min(EffectiveGroupSize(impl->bits().allocated_bytes(),
-                                        batch_size),
-                     kSplitBlockGroupCap);
+        const size_t group = std::min(batch_size, kSplitBlockGroupCap);
         if (group > 1 && impl->probe_lanes() >= kFuseLanes) {
           SplitBlockGroupLoop(*impl, keys, group, results);
         } else {
@@ -331,10 +303,7 @@ void ContainsBatchImpl(const MembershipFilter& filter, const Keys& keys,
         // baked into the block mask, so no per-pair gather loop (the
         // blocked_shbf_m path above needs one).
         const auto* impl = static_cast<const SplitBlockShbfM*>(fp.impl);
-        const size_t group =
-            std::min(EffectiveGroupSize(impl->bits().allocated_bytes(),
-                                        batch_size),
-                     kSplitBlockGroupCap);
+        const size_t group = std::min(batch_size, kSplitBlockGroupCap);
         if (group > 1 && impl->probe_lanes() >= kFuseLanes) {
           SplitBlockGroupLoop(*impl, keys, group, results);
         } else {

@@ -619,8 +619,10 @@ ShbfServer::Response ShbfServer::HandleAdd(ByteReader* reader) {
   Response error;
   Served* served = ResolveFilter(reader, &error);
   if (served == nullptr) return error;
-  std::vector<std::string> keys;
-  if (!serde::ReadKeyList(reader, &keys) || !reader->AtEnd()) {
+  // Views into the request body, as for QUERY: the writer section below
+  // copies no key bytes.
+  std::vector<std::string_view> keys;
+  if (!serde::ReadKeyViews(reader, &keys) || !reader->AtEnd()) {
     return Error(wire::WireStatus::kBadFrame, "ADD: malformed key list");
   }
   if (keys.size() > options_.max_keys_per_frame) {
@@ -650,8 +652,8 @@ ShbfServer::Response ShbfServer::HandleRemove(ByteReader* reader) {
   Response error;
   Served* served = ResolveFilter(reader, &error);
   if (served == nullptr) return error;
-  std::vector<std::string> keys;
-  if (!serde::ReadKeyList(reader, &keys) || !reader->AtEnd()) {
+  std::vector<std::string_view> keys;
+  if (!serde::ReadKeyViews(reader, &keys) || !reader->AtEnd()) {
     return Error(wire::WireStatus::kBadFrame, "REMOVE: malformed key list");
   }
   if (keys.size() > options_.max_keys_per_frame) {

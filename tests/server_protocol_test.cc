@@ -128,6 +128,29 @@ TEST_F(ServerProtocolTest, ClientRoundTrip) {
   EXPECT_EQ(filters.size(), 3u);
 }
 
+// ADD and REMOVE decode their keys as views into the request body; keys
+// from empty to page-sized must land intact and answer 1 afterwards, and
+// REMOVE must find each of them again.
+TEST_F(ServerProtocolTest, AddedKeysOfEveryLengthAnswerOne) {
+  ShbfClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  const std::vector<std::string> keys = {"", "a", "thirteen-char",
+                                         std::string(4096, 'k')};
+  ASSERT_EQ(keys[2].size(), 13u);
+  for (const char* name : {"members", "counting"}) {
+    SCOPED_TRACE(name);
+    uint64_t added = 0;
+    ASSERT_TRUE(client.Add(name, keys, &added).ok());
+    EXPECT_EQ(added, keys.size());
+    std::vector<uint8_t> results;
+    ASSERT_TRUE(client.Query(name, keys, &results).ok());
+    EXPECT_EQ(results, std::vector<uint8_t>(keys.size(), 1));
+  }
+  std::vector<uint8_t> removed;
+  ASSERT_TRUE(client.Remove("counting", keys, &removed).ok());
+  EXPECT_EQ(removed, std::vector<uint8_t>(keys.size(), 1));
+}
+
 TEST_F(ServerProtocolTest, RemoveGatedOnCapabilities) {
   ShbfClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <iterator>
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "api/filter_registry.h"
+#include "core/simd.h"
 #include "engine/sharded_filter.h"
+#include "obs/metrics.h"
 #include "shbf/shbf_membership.h"
 #include "trace/trace_generator.h"
 
@@ -139,6 +142,92 @@ TEST(ShardedFilterTest, BatchesOfEverySizeMatchPerKeyContains) {
       }
       registry_built->ContainsBatch(views, &got_views);
       EXPECT_EQ(got_views, got);
+    }
+  }
+}
+
+// The blocked and split fast paths run their configured prefetch group at
+// every filter size, and a sharded ensemble runs them once per shard
+// sub-batch. Both must answer bit for bit like per-key Contains, from an
+// L1-sized filter to one past the last-level cache, for batches shorter
+// than, equal to and longer than the split-block group cap, under native
+// and forced-scalar dispatch. The sharded.shard_batch_keys samples of each
+// batch must be exactly its partition sizes: perfbench's
+// sharded.shard_skew is computed from them.
+TEST(ShardedFilterTest, BlockedAndSplitFastPathsMatchPerKeyAtEverySize) {
+  const auto universe = Keys(4000, 0x6b1c);
+  // Members and non-members interleaved (2049 is coprime to 4000).
+  std::vector<std::string> queries;
+  for (size_t i = 0; i < 2000; ++i) {
+    queries.push_back(universe[(i * 2049) % universe.size()]);
+  }
+  obs::Histogram* const shard_keys =
+      obs::MetricsRegistry::Global().GetHistogram("sharded.shard_batch_keys");
+  const auto& registry = FilterRegistry::Global();
+  for (const char* name : {"blocked_bloom", "blocked_shbf_m",
+                           "split_block_bloom", "split_block_shbf_m"}) {
+    // 16 KB, 1 MB and 6 MB of bits.
+    for (size_t num_cells :
+         {size_t{128} << 10, size_t{8} << 20, size_t{48} << 20}) {
+      for (uint32_t shards : {1u, 4u}) {
+        SCOPED_TRACE(std::string(name) + " cells=" +
+                     std::to_string(num_cells) + " shards=" +
+                     std::to_string(shards));
+        FilterSpec spec = ShardedSpec(shards, 0x6b1c);
+        spec.num_cells = num_cells;
+        spec.batch_size = 32;
+        std::unique_ptr<MembershipFilter> filter;
+        ASSERT_TRUE(registry.Create(name, spec, &filter).ok());
+        for (size_t i = 0; i < universe.size() / 2; ++i) {
+          filter->Add(universe[i]);
+        }
+        const auto* sharded =
+            dynamic_cast<const ShardedMembershipFilter*>(filter.get());
+        ASSERT_EQ(sharded != nullptr, shards > 1);
+        std::vector<uint8_t> expected(queries.size());
+        for (size_t i = 0; i < queries.size(); ++i) {
+          expected[i] = filter->Contains(queries[i]) ? 1 : 0;
+        }
+        BatchQueryEngine engine({.batch_size = spec.batch_size});
+        for (bool scalar : {false, true}) {
+          SCOPED_TRACE(scalar ? "scalar" : "native");
+          simd::ForceScalar(scalar);
+          for (size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{33},
+                           size_t{1000}}) {
+            SCOPED_TRACE(std::to_string(n) + "-key batches");
+            for (size_t start = 0; start < queries.size(); start += n) {
+              const std::vector<std::string_view> batch(
+                  queries.begin() + start,
+                  queries.begin() + std::min(start + n, queries.size()));
+              const obs::HistogramSnapshot before = shard_keys->Snapshot();
+              std::vector<uint8_t> got;
+              engine.ContainsBatch(*filter, batch, &got);
+              ASSERT_EQ(got.size(), batch.size());
+              for (size_t j = 0; j < batch.size(); ++j) {
+                ASSERT_EQ(got[j], expected[start + j]) << start + j;
+              }
+              if (sharded == nullptr || !obs::kCompiledIn) continue;
+              std::vector<size_t> sizes(shards, 0);
+              for (std::string_view key : batch) {
+                ++sizes[sharded->sharded().ShardOf(key)];
+              }
+              obs::HistogramSnapshot want;
+              for (size_t size : sizes) {
+                if (size == 0) continue;
+                ++want.count;
+                want.sum += size;
+                ++want.buckets[obs::Histogram::BucketIndex(size)];
+              }
+              const obs::HistogramSnapshot recorded =
+                  shard_keys->Snapshot().Since(before);
+              ASSERT_EQ(recorded.count, want.count);
+              ASSERT_EQ(recorded.sum, want.sum);
+              ASSERT_EQ(recorded.buckets, want.buckets);
+            }
+          }
+        }
+        simd::ForceScalar(false);
+      }
     }
   }
 }

@@ -5,7 +5,7 @@
 // (including the block-edge shifts), probe masks bit-identical under native
 // and forced-scalar dispatch, no false negatives, FPR within 2x of the
 // unblocked base at a 100k absent-key sample, engine fast path identical to
-// the per-key loop on both sides of the cache-resident batch-size bypass,
+// the per-key loop for a cache-sized and a memory-sized filter,
 // native + registry serde round trips, merge-as-union, shared key probes
 // across the sizes of one probe family, and the v5 envelope still
 // accepting hand-crafted v4 blobs (the sub_block_bits field is a v5
@@ -268,9 +268,8 @@ TEST(SplitBlockFilterTest, FprWithinTwiceTheUnblockedBase) {
 }
 
 // The engine's split-block fast path must answer exactly like the per-key
-// loop under both dispatch modes, on BOTH sides of the cache-resident
-// batch-size bypass — a small filter (group degraded to 1, no staging) and
-// one sized past the 4 MiB threshold (staged prefetch groups) — and at
+// loop under both dispatch modes, for a filter that fits in cache and one
+// of 6 MB that does not (both run the same staged prefetch groups), and at
 // both loop shapes: k = 8 stages probes (SplitBlockProbeLoop), k = 16
 // reaches kFuseLanes and takes the fused MaskFromShifts group kernel
 // (SplitBlockGroupLoop), which no other test selects.
@@ -284,7 +283,7 @@ TEST(SplitBlockFilterTest, EngineFastPathMatchesPerKeyAcrossBatchSizing) {
                      " cells=" + std::to_string(num_cells));
         FilterSpec spec = TestSpec(0xe9f1);
         spec.num_hashes = k;
-        spec.num_cells = num_cells;  // 48 Mbit = 6 MB: past the bypass
+        spec.num_cells = num_cells;  // 48 Mbit = 6 MB
         std::unique_ptr<MembershipFilter> filter;
         ASSERT_TRUE(registry.Create(name, spec, &filter).ok());
         for (size_t i = 0; i < kNumKeys; ++i) filter->Add(universe[i]);
