@@ -20,8 +20,9 @@ constexpr uint32_t kEnvelopeMagic = 0x52424853;  // "SHBR" little-endian
 // "unsupported version" instead of deserializing shifted garbage.
 // v3: FilterSpec wire records grew delta_capacity/auto_scale (the mutation
 // pipeline), again shifting every payload that embeds a spec.
-// v4: FilterSpec wire records grew block_bits (the cache-blocked variants),
-// appended past the v3 layout.
+// v4: FilterSpec wire records grew block_bits (the since-retired
+// cache-blocked variants), appended past the v3 layout. The slot is still
+// written (as 512) and skipped on read.
 // v5: FilterSpec wire records grew sub_block_bits (the split-block
 // variants), appended past the v4 layout. The v5 reader still accepts v4
 // blobs: spec-bearing payloads deserialize under a SpecWireVersionScope so

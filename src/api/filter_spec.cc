@@ -35,11 +35,6 @@ Status FilterSpec::Validate() const {
   if (batch_size == 0) {
     return Status::InvalidArgument("FilterSpec: batch_size must be positive");
   }
-  if (block_bits < 64 || block_bits > 512 ||
-      (block_bits & (block_bits - 1)) != 0) {
-    return Status::InvalidArgument(
-        "FilterSpec: block_bits must be a power of two in [64, 512]");
-  }
   if (sub_block_bits < 8 || sub_block_bits > 64 ||
       (sub_block_bits & (sub_block_bits - 1)) != 0) {
     return Status::InvalidArgument(
@@ -73,8 +68,10 @@ void WriteSpec(ByteWriter* writer, const FilterSpec& spec) {
   writer->PutU8(spec.auto_scale ? 1 : 0);
   writer->PutU8(static_cast<uint8_t>(spec.hash_algorithm));
   writer->PutU64(spec.seed);
-  // Envelope v4 extension: fields appended past the v3 layout.
-  writer->PutU32(spec.block_bits);
+  // Envelope v4 extension: fields appended past the v3 layout. The slot
+  // held the block size of the retired cache-blocked layouts; it keeps its
+  // old default so every surviving envelope stays byte-identical.
+  writer->PutU32(512);
   // Envelope v5 extension.
   writer->PutU32(spec.sub_block_bits);
 }
@@ -98,7 +95,8 @@ bool ReadSpec(ByteReader* reader, FilterSpec* spec) {
     return false;
   }
   if (alg > 3 || auto_scale > 1) return false;
-  if (!reader->GetU32(&spec->block_bits)) return false;
+  uint32_t retired_block_bits = 0;  // read for layout, ignored
+  if (!reader->GetU32(&retired_block_bits)) return false;
   if (CurrentSpecWireVersion() >= 5) {
     if (!reader->GetU32(&spec->sub_block_bits)) return false;
   } else {

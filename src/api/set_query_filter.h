@@ -35,7 +35,8 @@ namespace shbf {
 /// non-virtual path: hash pre-compute, software prefetch, two-pass resolve.
 ///
 /// Adapters whose wrapped class exposes the Probe protocol (ShbfM, Bloom-
-/// Filter, ShbfX, ShbfA) return their concrete impl here; everything else
+/// Filter, ShbfX, ShbfA and the two split-block layouts) return their
+/// concrete impl here; everything else
 /// returns the default `kNone` and the engine falls back to the virtual
 /// per-key interface. `impl` points at an instance of the class named by
 /// `kind` and is only valid while the owning filter is alive.
@@ -46,8 +47,6 @@ struct BatchFastPath {
     kBloom = 2,         ///< `impl` is a `const BloomFilter*`
     kShbfX = 3,         ///< `impl` is a `const ShbfX*`
     kShbfA = 4,         ///< `impl` is a `const ShbfA*`
-    kBlockedBloom = 5,  ///< `impl` is a `const BlockedBloomFilter*`
-    kBlockedShbfM = 6,  ///< `impl` is a `const BlockedShbfM*`
     kSplitBlockBloom = 7,  ///< `impl` is a `const SplitBlockBloomFilter*`
     kSplitBlockShbfM = 8,  ///< `impl` is a `const SplitBlockShbfM*`
   };

@@ -27,7 +27,7 @@ Status SplitBlockBloomFilter::Params::Validate() const {
   if (sub_block_bits < 8 || sub_block_bits > 64 ||
       !IsPowerOfTwo(sub_block_bits)) {
     // Powers of two <= 64 divide 64, so a sub-word never straddles a word —
-    // the invariant MaskFromShifts relies on.
+    // the invariant the per-word mask build relies on.
     return Status::InvalidArgument(
         "SplitBlockBloomFilter: sub_block_bits must be a power of two in "
         "[8, 64]");
@@ -41,7 +41,7 @@ SplitBlockBloomFilter::SplitBlockBloomFilter(const Params& params)
       block_bits_(params.block_bits),
       sub_block_bits_(params.sub_block_bits),
       num_blocks_(CeilDiv(params.num_bits, size_t{params.block_bits})),
-      // Blocks are self-contained, so no slack bits (as blocked_bloom).
+      // Blocks are self-contained, so no slack bits.
       bits_(num_blocks_ * params.block_bits, /*slack_bits=*/0) {
   CheckOk(params.Validate());
   BuildLayout();
@@ -82,15 +82,15 @@ void SplitBlockBloomFilter::BuildLayout() {
 // h1 (multiply-shift range reduction — high bits), the k in-sub-word
 // positions from disjoint 6-bit fields of h2 (low 60 bits), with extra
 // position words derived by PARALLEL Mix64 calls when k > 10. Nothing here
-// chains — an earlier derivation built the positions from a serial
-// SplitMix64 stream plus a per-key MaskFromShifts kernel call, and that
-// latency chain (plus per-key vector dispatch) made the split per-key
-// query measurably SLOWER than the blocked one it is meant to beat. The
-// block prefetch is issued as soon as the block index exists, so the
-// position math runs inside the line fetch.
-void SplitBlockBloomFilter::DeriveLanes(const void* data, size_t len,
+// chains: a serial position stream is a latency chain the per-key query
+// pays in full. The block prefetch is issued as soon as the block index
+// exists, so the mask build runs inside the line fetch. The build is
+// scalar on purpose: k independent shift/ORs pipeline fully, and a vector
+// shift pays more in transitions than it saves at this width
+// (docs/benchmarks.md "Split-block probe loop").
+void SplitBlockBloomFilter::DeriveProbe(const void* data, size_t len,
                                         size_t* block_word,
-                                        uint64_t* shifts) const {
+                                        uint64_t* mask) const {
   const auto [h1, h2] = family_.HashPair(0, data, len);
   *block_word = FastRange64(h1, num_blocks_) * (block_bits_ / 64);
   bits_.Prefetch(*block_word * 64);
@@ -99,44 +99,12 @@ void SplitBlockBloomFilter::DeriveLanes(const void* data, size_t len,
   for (uint32_t j = 1; j < num_rot_words_; ++j) {
     pool[j] = Mix64(h1 + 0x9e3779b97f4a7c15ull * j);
   }
+  std::fill(mask, mask + block_bits_ / 64, 0);
   const uint64_t sub_mask = sub_block_bits_ - 1;
   for (uint32_t i = 0; i < num_hashes_; ++i) {
     const uint64_t pos = (pool[rot_word_[i]] >> rot_shift_[i]) & sub_mask;
-    shifts[i] = base_shift_[i] + pos;
+    mask[word_of_[i]] |= uint64_t{1} << (base_shift_[i] + pos);
   }
-}
-
-void SplitBlockBloomFilter::DeriveProbe(const void* data, size_t len,
-                                        size_t* block_word,
-                                        uint64_t* mask) const {
-  uint64_t shifts[kMaxBatchHashes];
-  DeriveLanes(data, len, block_word, shifts);
-  const uint32_t words = block_bits_ / 64;
-  std::fill(mask, mask + words, 0);
-  // Scalar on purpose: k independent shift/ORs pipeline fully, and a
-  // per-key kernel call would pay more in dispatch than the vector shift
-  // saves at this width. The engine's group path (PrepareShiftLanes) is
-  // where MaskFromShifts earns its keep, on whole-group lane arrays.
-  for (uint32_t i = 0; i < num_hashes_; ++i) {
-    mask[word_of_[i]] |= uint64_t{1} << shifts[i];
-  }
-}
-
-void SplitBlockBloomFilter::PrepareShiftLanes(std::string_view key,
-                                              size_t* block_word,
-                                              uint64_t* shifts) const {
-  DeriveLanes(key.data(), key.size(), block_word, shifts);
-}
-
-bool SplitBlockBloomFilter::ResolveLanes(size_t block_word,
-                                         const uint64_t* bit_words) const {
-  uint64_t mask[kMaxBlockWords];
-  const uint32_t words = block_bits_ / 64;
-  std::fill(mask, mask + words, 0);
-  for (uint32_t i = 0; i < num_hashes_; ++i) {
-    mask[word_of_[i]] |= bit_words[i];
-  }
-  return simd::BlockSubsetTest(bits_.data() + block_word * 8, mask, words);
 }
 
 void SplitBlockBloomFilter::Add(const void* data, size_t len) {

@@ -1,29 +1,22 @@
 // Split-block Bloom filter (cf. Boost.Bloom's multiblock<> subfilters) —
 // the one-vector-op-per-key membership baseline.
 //
-// The blocked filter (blocked_bloom_filter.h) already confines a key's k
-// probes to one cache-line block, but derives each probe position with a
-// serial modulo/scatter chain: position bits land anywhere in the block, so
-// building the probe mask is k dependent OR-scatters. The split-block
-// layout divides the block into `sub_block_bits`-wide sub-words and pins
-// probe i to sub-word i % num_sub — the probe-to-word mapping becomes
-// key-independent and the whole derivation chain goes wide:
+// All k probes of a key stay inside one block of at most one cache line.
+// The block is divided into `sub_block_bits`-wide sub-words and probe i is
+// pinned to sub-word i % num_sub, so the probe-to-word mapping is
+// key-independent and the whole derivation goes wide:
 //
-//   * ONE 128-bit hash pass (HashFamily::HashPair) replaces the two 64-bit
-//     passes the blocked variants pay;
+//   * ONE 128-bit hash pass (HashFamily::HashPair);
 //   * the block index is a multiply-shift range reduction (FastRange64),
 //     not a division;
 //   * the k in-sub-word positions are disjoint 6-bit FIELDS of h2 (plus
 //     parallel Mix64 words when k > 10) — no serial SplitMix64 chain, every
 //     position extracts independently;
-//   * per key the mask is k independent shift/ORs (the compiler's ILP
-//     covers them inside the block fetch latency); across a batch the
-//     engine concatenates every key's shift lanes and builds ALL masks of a
-//     group with ONE simd::MaskFromShifts call (AVX2 `vpsllvq` / NEON
-//     `vshlq` / AVX-512 zmm) — see PrepareShiftLanes/ResolveLanes.
+//   * the mask is k independent shift/ORs, which the out-of-order core
+//     overlaps with the block fetch PrepareProbe has already issued.
 //
-// The resolve is the same whole-block subset test as the blocked filter
-// (simd::BlockSubsetTest; one 512-bit op on AVX-512F).
+// The resolve is one whole-block subset test (simd::BlockSubsetTest; one
+// 512-bit op on AVX-512F).
 //
 // Geometry: sub_block_bits ∈ {8, 16, 32, 64} (powers of two dividing 64,
 // so a sub-word never straddles a 64-bit word), block_bits a multiple of
@@ -32,8 +25,9 @@
 // (clamped) so the default geometry wastes nothing and probe i owns word i.
 //
 // FPR: one probe per sub-word is the classic partitioned-Bloom variant of
-// the blocked filter — same Poisson block-loading penalty, bounded by the
-// bench's acceptance gate at 2x the unblocked base at equal bits/key.
+// a cache-blocked filter — it pays the Poisson block-loading penalty,
+// bounded by the bench's acceptance gate at 2x the unblocked base at equal
+// bits/key.
 
 #ifndef SHBF_BASELINES_SPLIT_BLOCK_BLOOM_FILTER_H_
 #define SHBF_BASELINES_SPLIT_BLOCK_BLOOM_FILTER_H_
@@ -53,7 +47,7 @@ namespace shbf {
 
 class SplitBlockBloomFilter {
  public:
-  /// Same block bounds as the blocked filter: a probe mask fits 8 words.
+  /// A block is at most one cache line, so a probe mask fits 8 words.
   static constexpr uint32_t kMinBlockBits = 64;
   static constexpr uint32_t kMaxBlockBits = 512;
   static constexpr uint32_t kMaxBlockWords = kMaxBlockBits / 64;
@@ -100,7 +94,7 @@ class SplitBlockBloomFilter {
   void ContainsBatch(const std::vector<std::string>& keys,
                      std::vector<uint8_t>* results) const;
 
-  /// Precomputed query state — same shape as BlockedBloomFilter::Probe, so
+  /// Precomputed query state — same shape as SplitBlockShbfM::Probe, so
   /// the engine resolves both through one BlockSubsetTest path.
   struct Probe {
     size_t block_word;              ///< first word of the block
@@ -116,21 +110,6 @@ class SplitBlockBloomFilter {
 
   /// Resolves a prepared probe; identical answer to Contains(key).
   bool ResolveProbe(const Probe& probe) const;
-
-  /// Lanes per key in the group-batched protocol (= num_hashes()).
-  uint32_t probe_lanes() const { return num_hashes_; }
-
-  /// Writes `key`'s probe_lanes() shift values (base_shift + in-sub-word
-  /// position, each < 64) and its block word, and prefetches the block.
-  /// The engine concatenates the lanes of a whole group and turns them
-  /// into mask bits with ONE simd::MaskFromShifts call.
-  void PrepareShiftLanes(std::string_view key, size_t* block_word,
-                         uint64_t* shifts) const;
-
-  /// Folds the group kernel's per-lane bit words (bit_words[i] ==
-  /// 1 << shifts[i]) back into the block mask and resolves; identical
-  /// answer to Contains(key).
-  bool ResolveLanes(size_t block_word, const uint64_t* bit_words) const;
 
   size_t num_bits() const { return bits_.num_bits(); }
   uint32_t num_hashes() const { return num_hashes_; }
@@ -165,11 +144,7 @@ class SplitBlockBloomFilter {
       (kMaxBatchHashes + kFieldsPerWord - 1) / kFieldsPerWord;
 
   /// One hash pass; hands back the block's first word (prefetched) and the
-  /// k shift lanes (base_shift + in-sub-word position).
-  void DeriveLanes(const void* data, size_t len, size_t* block_word,
-                   uint64_t* shifts) const;
-
-  /// DeriveLanes + the scalar mask build (mask[word_of_[i]] |= 1 << shift).
+  /// probe mask (mask[word_of_[i]] |= 1 << (base_shift + position)).
   void DeriveProbe(const void* data, size_t len, size_t* block_word,
                    uint64_t* mask) const;
 

@@ -11,9 +11,9 @@
 // read out of bounds and shifted writes never wrap (the paper appends w̄ − 2
 // bits for the same reason, §4.1).
 //
-// Storage is 64-byte aligned: the blocked variants (blocked_bloom,
-// blocked_shbf_m) confine each key's probes to one block-sized span, and
-// alignment makes a 512-bit block exactly one cache line instead of a
+// Storage is 64-byte aligned: the split-block variants (split_block_bloom,
+// split_block_shbf_m) confine each key's probes to one block-sized span,
+// and alignment makes a 512-bit block exactly one cache line instead of a
 // straddle of two.
 
 #ifndef SHBF_CORE_BIT_ARRAY_H_
@@ -107,7 +107,7 @@ class BitArray {
     __builtin_prefetch(data_ + (pos >> 3), /*rw=*/0, /*locality=*/1);
   }
 
-  /// 64-byte-aligned raw storage (guard bytes included) — the blocked
+  /// 64-byte-aligned raw storage (guard bytes included) — the split-block
   /// variants hand whole blocks of it to the SIMD subset-test kernel.
   const uint8_t* data() const { return data_; }
   uint8_t* mutable_data() {

@@ -131,8 +131,9 @@ enum class StructureTag : uint8_t {
   kDynamicCountFilter = 12,
   kGeneralizedShbfM = 13,
   kCountingShbfM = 14,
-  kBlockedBloomFilter = 15,
-  kBlockedShbfM = 16,
+  // 15 and 16 belonged to the retired cache-blocked Bloom and ShBF_M
+  // layouts. They stay reserved so an old blob can never be read as some
+  // other structure; never reuse them.
   kSplitBlockBloomFilter = 17,
   kSplitBlockShbfM = 18,
 };

@@ -1,22 +1,12 @@
 // Vector probe kernels with runtime dispatch (scalar / NEON / AVX2 /
 // AVX-512).
 //
-// Five primitives cover the hot loops of the batched query engine and the
-// packed counter substrate:
+// Three primitives cover the hot loops of the batched query engine, the
+// multi-set index and the packed counter substrate:
 //
-//   MaskTestMany      lane i: (words[i] & needs[i]) == needs[i]
-//                     — the ShBF pair test across a whole probe group. Each
-//                     64-bit lane carries one window whose `need` pattern
-//                     holds two bits (base | base+offset), so one AVX2 op
-//                     resolves 4 windows = 8 probed bits (NEON: 2 = 4).
 //   BlockSubsetTest   (block & mask) == mask over a whole cache-line block
-//                     — the blocked-Bloom resolve, 256 bits per AVX2 op
+//                     — the split-block resolve, 256 bits per AVX2 op
 //                     (one 512-bit op on AVX-512F parts).
-//   MaskFromShifts    lane i: pattern << shifts[i] — fused mask
-//                     construction for the split-block layouts, where every
-//                     probe owns its own sub-word: one AVX2 `vpsllvq`
-//                     (NEON `vshlq`) turns 4 (2) probe positions into 4 (2)
-//                     finished mask words with no scatter conflicts.
 //   ExtractFieldMany  lane i: ((lo[i] >> s[i]) | (hi[i] << (64 − s[i])))
 //                     & field_mask — packed-counter extraction across a
 //                     gather of counters, straddle word included.
@@ -58,13 +48,6 @@ namespace simd {
 // Scalar reference implementations (the semantic ground truth)
 // ------------------------------------------------------------------------
 
-inline void MaskTestManyScalar(const uint64_t* words, const uint64_t* needs,
-                               size_t n, uint8_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = (words[i] & needs[i]) == needs[i] ? 1 : 0;
-  }
-}
-
 inline bool BlockSubsetTestScalar(const uint8_t* block, const uint64_t* mask,
                                   size_t num_words) {
   for (size_t w = 0; w < num_words; ++w) {
@@ -73,13 +56,6 @@ inline bool BlockSubsetTestScalar(const uint8_t* block, const uint64_t* mask,
     if ((word & mask[w]) != mask[w]) return false;
   }
   return true;
-}
-
-inline void MaskFromShiftsScalar(const uint64_t* shifts, uint64_t pattern,
-                                 size_t n, uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = pattern << shifts[i];
-  }
 }
 
 inline void ExtractFieldManyScalar(const uint64_t* lo, const uint64_t* hi,
@@ -103,25 +79,6 @@ inline void ExtractFieldManyScalar(const uint64_t* lo, const uint64_t* hi,
 
 #if SHBF_SIMD_X86
 
-__attribute__((target("avx2"))) inline void MaskTestManyAvx2(
-    const uint64_t* words, const uint64_t* needs, size_t n, uint8_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i w = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(words + i));
-    const __m256i need = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(needs + i));
-    const __m256i eq = _mm256_cmpeq_epi64(_mm256_and_si256(w, need), need);
-    // One sign bit per 64-bit lane: bit j of `hits` is lane j's verdict.
-    const int hits = _mm256_movemask_pd(_mm256_castsi256_pd(eq));
-    out[i + 0] = hits & 1;
-    out[i + 1] = (hits >> 1) & 1;
-    out[i + 2] = (hits >> 2) & 1;
-    out[i + 3] = (hits >> 3) & 1;
-  }
-  MaskTestManyScalar(words + i, needs + i, n - i, out + i);
-}
-
 __attribute__((target("avx2"))) inline bool BlockSubsetTestAvx2(
     const uint8_t* block, const uint64_t* mask, size_t num_words) {
   size_t w = 0;
@@ -134,19 +91,6 @@ __attribute__((target("avx2"))) inline bool BlockSubsetTestAvx2(
     if (!_mm256_testc_si256(b, m)) return false;
   }
   return BlockSubsetTestScalar(block + w * 8, mask + w, num_words - w);
-}
-
-__attribute__((target("avx2"))) inline void MaskFromShiftsAvx2(
-    const uint64_t* shifts, uint64_t pattern, size_t n, uint64_t* out) {
-  const __m256i p = _mm256_set1_epi64x(static_cast<long long>(pattern));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i s = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(shifts + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_sllv_epi64(p, s));
-  }
-  MaskFromShiftsScalar(shifts + i, pattern, n - i, out + i);
 }
 
 // ---- AVX-512F bodies (one 512-bit op per cache-line block; dispatched
@@ -164,17 +108,6 @@ __attribute__((target("avx512f"))) inline bool BlockSubsetTestAvx512(
     }
   }
   return BlockSubsetTestScalar(block + w * 8, mask + w, num_words - w);
-}
-
-__attribute__((target("avx512f"))) inline void MaskFromShiftsAvx512(
-    const uint64_t* shifts, uint64_t pattern, size_t n, uint64_t* out) {
-  const __m512i p = _mm512_set1_epi64(static_cast<long long>(pattern));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i s = _mm512_loadu_si512(shifts + i);
-    _mm512_storeu_si512(out + i, _mm512_sllv_epi64(p, s));
-  }
-  MaskFromShiftsScalar(shifts + i, pattern, n - i, out + i);
 }
 
 __attribute__((target("avx2"))) inline void ExtractFieldManyAvx2(
@@ -210,32 +143,6 @@ __attribute__((target("avx2"))) inline void ExtractFieldManyAvx2(
 
 #if SHBF_SIMD_NEON
 
-inline void MaskTestManyNeon(const uint64_t* words, const uint64_t* needs,
-                             size_t n, uint8_t* out) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t w = vld1q_u64(words + i);
-    const uint64x2_t need = vld1q_u64(needs + i);
-    const uint64x2_t eq = vceqq_u64(vandq_u64(w, need), need);
-    out[i + 0] = vgetq_lane_u64(eq, 0) != 0;
-    out[i + 1] = vgetq_lane_u64(eq, 1) != 0;
-  }
-  MaskTestManyScalar(words + i, needs + i, n - i, out + i);
-}
-
-inline void MaskFromShiftsNeon(const uint64_t* shifts, uint64_t pattern,
-                               size_t n, uint64_t* out) {
-  const uint64x2_t p = vdupq_n_u64(pattern);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    // vshlq_u64 left-shifts by the signed per-lane count; shifts are < 64
-    // (the kernel's contract), so no lane wraps to a right shift.
-    const int64x2_t s = vreinterpretq_s64_u64(vld1q_u64(shifts + i));
-    vst1q_u64(out + i, vshlq_u64(p, s));
-  }
-  MaskFromShiftsScalar(shifts + i, pattern, n - i, out + i);
-}
-
 inline bool BlockSubsetTestNeon(const uint8_t* block, const uint64_t* mask,
                                 size_t num_words) {
   size_t w = 0;
@@ -256,26 +163,6 @@ inline bool BlockSubsetTestNeon(const uint8_t* block, const uint64_t* mask,
 // ------------------------------------------------------------------------
 // Dispatched entry points
 // ------------------------------------------------------------------------
-
-/// out[i] = (words[i] & needs[i]) == needs[i], for i < n.
-inline void MaskTestMany(const uint64_t* words, const uint64_t* needs,
-                         size_t n, uint8_t* out) {
-  switch (ActiveLevel()) {
-#if SHBF_SIMD_X86
-    case Level::kAvx512:  // no 512-bit body; the AVX2 one is the widest
-    case Level::kAvx2:
-      MaskTestManyAvx2(words, needs, n, out);
-      return;
-#endif
-#if SHBF_SIMD_NEON
-    case Level::kNeon:
-      MaskTestManyNeon(words, needs, n, out);
-      return;
-#endif
-    default:
-      MaskTestManyScalar(words, needs, n, out);
-  }
-}
 
 /// True iff every bit of `mask` is set in `block`, over `num_words` words
 /// starting at byte `block` (little-endian word slicing, as BitArray lays
@@ -316,31 +203,6 @@ inline void ExtractFieldMany(const uint64_t* lo, const uint64_t* hi,
 #endif
     default:
       ExtractFieldManyScalar(lo, hi, shifts, field_mask, n, out);
-  }
-}
-
-/// out[i] = pattern << shifts[i], for i < n. Requires shifts[i] < 64 and
-/// that every set bit of `pattern` stays in-word after the shift — the
-/// split-block mask build, where probe i's position inside its own sub-word
-/// becomes a finished mask word in one variable-shift op.
-inline void MaskFromShifts(const uint64_t* shifts, uint64_t pattern,
-                           size_t n, uint64_t* out) {
-  switch (ActiveLevel()) {
-#if SHBF_SIMD_X86
-    case Level::kAvx512:
-      MaskFromShiftsAvx512(shifts, pattern, n, out);
-      return;
-    case Level::kAvx2:
-      MaskFromShiftsAvx2(shifts, pattern, n, out);
-      return;
-#endif
-#if SHBF_SIMD_NEON
-    case Level::kNeon:
-      MaskFromShiftsNeon(shifts, pattern, n, out);
-      return;
-#endif
-    default:
-      MaskFromShiftsScalar(shifts, pattern, n, out);
   }
 }
 

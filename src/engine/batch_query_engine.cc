@@ -2,12 +2,9 @@
 
 #include <algorithm>
 
-#include "baselines/blocked_bloom_filter.h"
 #include "baselines/bloom_filter.h"
 #include "baselines/split_block_bloom_filter.h"
-#include "core/simd.h"
 #include "obs/metrics.h"
-#include "shbf/blocked_shbf_membership.h"
 #include "shbf/shbf_association.h"
 #include "shbf/shbf_membership.h"
 #include "shbf/split_block_shbf_membership.h"
@@ -47,46 +44,6 @@ void TwoPassLoop(const Impl& impl, const Keys& keys, size_t group_size,
   }
 }
 
-// The blocked ShBF_M resolve, vectorized across the group: pass 2 gathers
-// every pair window of the group (now resident thanks to the prefetch pass)
-// into one flat array, replicates each key's `need` pattern alongside, and
-// hands the whole gather to simd::MaskTestMany — 4 windows = 8 probed bits
-// per AVX2 op (NEON: 2 = 4) instead of one test-and-branch per window. The
-// per-key verdict is the AND over its pair lanes.
-template <typename Keys>
-void BlockedShbfMGroupLoop(const BlockedShbfM& impl, const Keys& keys,
-                           size_t group_size, std::vector<uint8_t>* results) {
-  const uint32_t pairs = impl.num_pairs();
-  const size_t cap = std::min(group_size, keys.size());
-  std::vector<BlockedShbfM::Probe> probes(cap);
-  std::vector<uint64_t> windows(cap * pairs);
-  std::vector<uint64_t> needs(cap * pairs);
-  std::vector<uint8_t> hits(cap * pairs);
-  for (size_t start = 0; start < keys.size(); start += group_size) {
-    const size_t group = std::min(group_size, keys.size() - start);
-    for (size_t g = 0; g < group; ++g) {
-      // No PrefetchProbe here: Derive already prefetched the block between
-      // its two hash passes, and a second prefetch instruction per key is
-      // measurable overhead on prefetch-queue-limited parts.
-      impl.PrepareProbe(keys[start + g], &probes[g]);
-    }
-    size_t n = 0;
-    for (size_t g = 0; g < group; ++g) {
-      for (uint32_t p = 0; p < pairs; ++p, ++n) {
-        windows[n] = impl.bits().LoadWindow(probes[g].bases[p]);
-        needs[n] = probes[g].need;
-      }
-    }
-    simd::MaskTestMany(windows.data(), needs.data(), n, hits.data());
-    n = 0;
-    for (size_t g = 0; g < group; ++g) {
-      uint8_t ok = 1;
-      for (uint32_t p = 0; p < pairs; ++p, ++n) ok &= hits[n];
-      (*results)[start + g] = ok;
-    }
-  }
-}
-
 // The split-block probe loop: like TwoPassLoop, but without the explicit
 // PrefetchProbe pass — the split filters' PrepareProbe issues the block
 // prefetch the moment the block index exists (before the mask build), so a
@@ -108,44 +65,6 @@ void SplitBlockProbeLoop(const Impl& impl, const Keys& keys,
   }
 }
 
-// The fused-kernel variant: pass 1 hashes every key of the group into its
-// shift-lane array (PrepareShiftLanes also issues the block prefetch), ONE
-// simd::MaskFromShifts call turns the whole group's lanes into bit words
-// (AVX2 `vpsllvq`: 4 lanes per op, AVX-512: 8), and pass 2 folds each
-// key's words back into its block mask and resolves.
-//
-// This only beats the probe loop's per-key scalar build when there are
-// enough lanes per key to amortize the round-trip: the lanes detour
-// through a scratch array, and at the default geometry (k = 8 → 8 lanes)
-// the sporadically-issued vector shift pays more in transitions than it
-// saves over 8 independent shift/ORs the OoO core pipelines for free —
-// measured ~8% slower at gate scale (docs/benchmarks.md "Split-block
-// probe loop"). Past kFuseLanes lanes the scalar build is long enough
-// that the 4-8x lane throughput wins.
-constexpr uint32_t kFuseLanes = 16;
-
-template <typename Impl, typename Keys>
-void SplitBlockGroupLoop(const Impl& impl, const Keys& keys,
-                         size_t group_size, std::vector<uint8_t>* results) {
-  const uint32_t lanes = impl.probe_lanes();
-  const size_t cap = std::min(group_size, keys.size());
-  std::vector<size_t> blocks(cap);
-  std::vector<uint64_t> shifts(cap * lanes);
-  std::vector<uint64_t> bit_words(cap * lanes);
-  for (size_t start = 0; start < keys.size(); start += group_size) {
-    const size_t group = std::min(group_size, keys.size() - start);
-    for (size_t g = 0; g < group; ++g) {
-      impl.PrepareShiftLanes(keys[start + g], &blocks[g],
-                             &shifts[g * lanes]);
-    }
-    simd::MaskFromShifts(shifts.data(), 1, group * lanes, bit_words.data());
-    for (size_t g = 0; g < group; ++g) {
-      (*results)[start + g] =
-          impl.ResolveLanes(blocks[g], &bit_words[g * lanes]) ? 1 : 0;
-    }
-  }
-}
-
 // The probe protocol bounds k; a spec-built filter can exceed the bound, in
 // which case the engine must decline the fast path rather than trip the
 // implementation's CHECK.
@@ -163,14 +82,6 @@ bool FastPathSupported(BatchFastPath::Kind kind, const void* impl) {
     case BatchFastPath::Kind::kShbfA:
       return static_cast<const ShbfA*>(impl)->num_hashes() <=
              ShbfA::kMaxBatchHashes;
-    case BatchFastPath::Kind::kBlockedBloom:
-      // FillMask bounds nothing by k (the mask covers the whole block), so
-      // the only bound is the probe's fixed-size mask, sized for every
-      // legal block. Always supported.
-      return true;
-    case BatchFastPath::Kind::kBlockedShbfM:
-      return static_cast<const BlockedShbfM*>(impl)->num_pairs() <=
-             BlockedShbfM::kMaxBatchPairs;
     case BatchFastPath::Kind::kSplitBlockBloom:
       return static_cast<const SplitBlockBloomFilter*>(impl)->num_hashes() <=
              SplitBlockBloomFilter::kMaxBatchHashes;
@@ -268,47 +179,22 @@ void ContainsBatchImpl(const MembershipFilter& filter, const Keys& keys,
                     });
         return;
       }
-      case BatchFastPath::Kind::kBlockedBloom: {
-        // ResolveProbe is already one SIMD subset test over the whole
-        // block (256 bits per AVX2 op), so the per-key resolve is vector
-        // code all the way down.
-        const auto* impl = static_cast<const BlockedBloomFilter*>(fp.impl);
-        TwoPassLoop(*impl, keys, batch_size,
-                    [&](size_t i, const BlockedBloomFilter::Probe& probe) {
-                      (*results)[i] = impl->ResolveProbe(probe) ? 1 : 0;
-                    });
-        return;
-      }
-      case BatchFastPath::Kind::kBlockedShbfM: {
-        const auto* impl = static_cast<const BlockedShbfM*>(fp.impl);
-        BlockedShbfMGroupLoop(*impl, keys, batch_size, results);
-        return;
-      }
       case BatchFastPath::Kind::kSplitBlockBloom: {
         // No gather/staging pass at all: a key's whole answer is one
-        // block mask + one BlockSubsetTest. Narrow-k filters stage probes
-        // (scalar mask build inside PrepareProbe); wide-k ones fuse the
-        // group's mask construction into one MaskFromShifts kernel call.
+        // block mask + one BlockSubsetTest.
         const auto* impl = static_cast<const SplitBlockBloomFilter*>(fp.impl);
-        const size_t group = std::min(batch_size, kSplitBlockGroupCap);
-        if (group > 1 && impl->probe_lanes() >= kFuseLanes) {
-          SplitBlockGroupLoop(*impl, keys, group, results);
-        } else {
-          SplitBlockProbeLoop(*impl, keys, group, results);
-        }
+        SplitBlockProbeLoop(*impl, keys,
+                            std::min(batch_size, kSplitBlockGroupCap),
+                            results);
         return;
       }
       case BatchFastPath::Kind::kSplitBlockShbfM: {
-        // Same one-vector-op shape as split_block_bloom: the pair bits are
-        // baked into the block mask, so no per-pair gather loop (the
-        // blocked_shbf_m path above needs one).
+        // Same shape as split_block_bloom: the pair bits are baked into
+        // the block mask, so there is no per-pair gather loop.
         const auto* impl = static_cast<const SplitBlockShbfM*>(fp.impl);
-        const size_t group = std::min(batch_size, kSplitBlockGroupCap);
-        if (group > 1 && impl->probe_lanes() >= kFuseLanes) {
-          SplitBlockGroupLoop(*impl, keys, group, results);
-        } else {
-          SplitBlockProbeLoop(*impl, keys, group, results);
-        }
+        SplitBlockProbeLoop(*impl, keys,
+                            std::min(batch_size, kSplitBlockGroupCap),
+                            results);
         return;
       }
       case BatchFastPath::Kind::kNone:

@@ -12,18 +12,18 @@
 //
 // The protocol is implemented natively — without virtual dispatch — by the
 // six structures whose query is a pure windowed-read (ShbfM §3, ShbfA §4,
-// ShbfX §5, the classic Bloom filter, and the cache-blocked variants
-// BlockedBloomFilter / BlockedShbfM); the engine discovers them through
-// MembershipFilter::batch_fast_path(). Every other registered filter is
-// served through its virtual interface, so the engine answers for all
-// schemes and is bit-identical to the per-key path in every case
+// ShbfX §5, the classic Bloom filter, and the split-block layouts
+// SplitBlockBloomFilter / SplitBlockShbfM); the engine discovers them
+// through MembershipFilter::batch_fast_path(). Every other registered
+// filter is served through its virtual interface, so the engine answers
+// for all schemes and is bit-identical to the per-key path in every case
 // (tests/batch_engine_test.cc enforces this).
 //
-// The blocked ShBF_M path goes one step further: pass 2 gathers every pair
-// window of the group into a flat array and hands it to the SIMD kernel
-// (core/simd.h) — 4 windows = 8 probed bits per AVX2 op (NEON: 2 = 4) —
-// instead of testing windows one at a time. SHBF_FORCE_SCALAR demotes the
-// kernel to its scalar reference without changing any answer.
+// The split-block paths resolve a key with one whole-block subset test
+// (simd::BlockSubsetTest in core/simd.h): PrepareProbe bakes every probe
+// bit into a block mask and prefetches the block, so pass 2 has no per-probe
+// loads. SHBF_FORCE_SCALAR demotes the kernel to its scalar reference
+// without changing any answer.
 
 #ifndef SHBF_ENGINE_BATCH_QUERY_ENGINE_H_
 #define SHBF_ENGINE_BATCH_QUERY_ENGINE_H_

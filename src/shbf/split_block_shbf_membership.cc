@@ -92,10 +92,8 @@ void SplitBlockShbfM::BuildLayout() {
 // h1's high bits (multiply-shift range reduction, BlockWordOf), the shared
 // offset from a golden-multiplied fold of h1, the per-pair rotations from
 // disjoint 6-bit fields of h2 (parallel Mix64 words past 10 pairs). Nothing
-// here chains — an earlier derivation walked a serial SplitMix64 stream and
-// called MaskFromShifts per key, and that latency chain (plus per-key
-// vector dispatch) made the split per-key query measurably SLOWER than
-// the blocked one it is meant to beat.
+// here chains: a serial rotation stream is a latency chain the per-key
+// query pays in full.
 //
 // Each pair lives on the sub-word's CIRCLE: its first bit sits at rotation
 // r (uniform over all sub_block_bits positions) and its second at
@@ -138,9 +136,8 @@ uint64_t SplitBlockShbfM::DeriveMask(const void* data, size_t len,
   const uint32_t words = block_bits_ / 64;
   std::fill(mask, mask + words, 0);
   // Scalar on purpose: the shift/ORs are independent and pipeline fully; a
-  // per-key kernel call pays more in dispatch than the vector shift saves.
-  // The engine's group path (PrepareShiftLanes) fuses whole-group lane
-  // arrays into one MaskFromShifts call instead.
+  // vector shift pays more in dispatch than it saves at this width, per key
+  // and across a batch alike (docs/benchmarks.md "Split-block probe loop").
   for (uint32_t i = 0; i < pairs; ++i) {
     mask[word_of_[i]] |= (uint64_t{1} << shifts[i]) |
                          (uint64_t{1} << shifts[pairs + i]);
@@ -166,25 +163,6 @@ bool SplitBlockShbfM::SameProbeFamily(const SplitBlockShbfM& other) const {
          max_offset_span_ == other.max_offset_span_ &&
          block_bits_ == other.block_bits_ &&
          sub_block_bits_ == other.sub_block_bits_;
-}
-
-void SplitBlockShbfM::PrepareShiftLanes(std::string_view key,
-                                        size_t* block_word,
-                                        uint64_t* shifts) const {
-  *block_word = BlockWordOf(DeriveLanes(key.data(), key.size(), shifts));
-  bits_.Prefetch(*block_word * 64);
-}
-
-bool SplitBlockShbfM::ResolveLanes(size_t block_word,
-                                   const uint64_t* bit_words) const {
-  uint64_t mask[kMaxBlockWords];
-  const uint32_t pairs = num_hashes_ / 2;
-  const uint32_t words = block_bits_ / 64;
-  std::fill(mask, mask + words, 0);
-  for (uint32_t i = 0; i < pairs; ++i) {
-    mask[word_of_[i]] |= bit_words[i] | bit_words[pairs + i];
-  }
-  return simd::BlockSubsetTest(bits_.data() + block_word * 8, mask, words);
 }
 
 uint64_t SplitBlockShbfM::OffsetOf(std::string_view key) const {

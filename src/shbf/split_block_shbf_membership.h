@@ -1,12 +1,11 @@
 // Split-block ShBF_M — shifting pairs with a one-vector-op resolve.
 //
-// Blocked ShBF_M confines all k/2 (base, base+offset) pairs to one block
-// but still resolves them as k/2 separate unaligned window loads (gathered
-// and SIMD-tested across keys by the engine). The split-block variant pins
-// pair i to sub-word i % num_sub of its block and places the pair on the
-// sub-word's CIRCLE: first bit at rotation r(e, i), uniform over all
-// sub_block_bits positions, second bit at (r + o(e)) mod sub_block_bits.
-// Consequences:
+// ShBF_M (§3) needs k/2 windowed reads per query, one per (base,
+// base+offset) pair. The split-block variant confines every pair of a key to
+// one block of at most one cache line: pair i is pinned to sub-word
+// i % num_sub of its block and placed on the sub-word's CIRCLE: first bit
+// at rotation r(e, i), uniform over all sub_block_bits positions, second
+// bit at (r + o(e)) mod sub_block_bits. Consequences:
 //
 //   * the probe becomes the same {block_word, mask[8]} shape as the
 //     split-block Bloom filter: pair patterns OR into a whole-block mask,
@@ -15,10 +14,8 @@
 //   * the derivation goes wide: one 128-bit hash pass (HashPair), a
 //     multiply-shift block reduction (FastRange64), rotations as disjoint
 //     6-bit fields of h2 (parallel Mix64 words past 10 pairs) — no serial
-//     SplitMix64 chain. Per key the 2·(k/2) mask bits are independent
-//     shift/ORs; across a batch the engine fuses every key's shift lanes
-//     into ONE simd::MaskFromShifts call (AVX2 `vpsllvq` / NEON `vshlq`)
-//     — see PrepareShiftLanes/ResolveLanes;
+//     SplitMix64 chain. The 2·(k/2) mask bits are independent shift/ORs
+//     that overlap with the block fetch PrepareProbe has already issued;
 //   * the circular placement keeps per-bit fill uniform — a windowed
 //     layout (bases clamped to [0, s − w̄]) concentrates first bits in the
 //     low end of each sub-word and measurably breaks the 2x FPR budget;
@@ -28,9 +25,9 @@
 //     the KeyProbe: the multi-set index hashes a key once for all of them.
 //
 // Offsets live in [1, max_offset_span − 1] with max_offset_span <
-// sub_block_bits (default sub_block_bits/2 = 32), mirroring the blocked
-// variant's span. Keys sharing a block collide more than in plain ShBF_M;
-// the acceptance gate bounds the penalty at 2x at equal bits/key.
+// sub_block_bits (default sub_block_bits/2 = 32). Keys sharing a block
+// collide more than in plain ShBF_M; the acceptance gate bounds the penalty
+// at 2x at equal bits/key.
 
 #ifndef SHBF_SHBF_SPLIT_BLOCK_SHBF_MEMBERSHIP_H_
 #define SHBF_SHBF_SPLIT_BLOCK_SHBF_MEMBERSHIP_H_
@@ -137,9 +134,9 @@ class SplitBlockShbfM {
   /// but num_bits matches.
   bool SameProbeFamily(const SplitBlockShbfM& other) const;
 
-  /// Precomputed query state — same shape as SplitBlockBloomFilter::Probe
-  /// (and BlockedBloomFilter::Probe), so the engine resolves all three
-  /// through one BlockSubsetTest path with no gather staging.
+  /// Precomputed query state — same shape as SplitBlockBloomFilter::Probe,
+  /// so the engine resolves both through one BlockSubsetTest path with no
+  /// gather staging.
   struct Probe {
     size_t block_word;              ///< first word of the block
     uint64_t mask[kMaxBlockWords];  ///< every pair pattern, pre-positioned
@@ -154,22 +151,6 @@ class SplitBlockShbfM {
 
   /// Resolves a prepared probe; identical answer to Contains(key).
   bool ResolveProbe(const Probe& probe) const;
-
-  /// Lanes per key in the group-batched protocol (= num_hashes(): one lane
-  /// per pair bit, first bits in [0, pairs), second bits in [pairs, 2·pairs)).
-  uint32_t probe_lanes() const { return num_hashes_; }
-
-  /// Writes `key`'s probe_lanes() shift values (base_shift + rotation, each
-  /// < 64) and its block word, and prefetches the block. The engine
-  /// concatenates the lanes of a whole group and turns them into mask bits
-  /// with ONE simd::MaskFromShifts call.
-  void PrepareShiftLanes(std::string_view key, size_t* block_word,
-                         uint64_t* shifts) const;
-
-  /// Folds the group kernel's per-lane bit words (bit_words[i] ==
-  /// 1 << shifts[i]) back into the block mask and resolves; identical
-  /// answer to Contains(key).
-  bool ResolveLanes(size_t block_word, const uint64_t* bit_words) const;
 
   /// The offset o(key) ∈ [1, max_offset_span − 1]; exposed for tests.
   uint64_t OffsetOf(std::string_view key) const;

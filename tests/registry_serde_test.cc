@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/filter_registry.h"
@@ -328,6 +329,16 @@ TEST(RegistrySerdeTest, WrapperEnvelopesRoundTripThroughTheRegistry) {
   }
 }
 
+/// Decodes a hex literal (two digits per byte).
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
 TEST(RegistrySerdeTest, EnvelopeNamesUnknownFilter) {
   // An envelope naming an unregistered filter must fail cleanly, not crash.
   const auto& registry = FilterRegistry::Global();
@@ -341,6 +352,48 @@ TEST(RegistrySerdeTest, EnvelopeNamesUnknownFilter) {
   std::unique_ptr<MembershipFilter> out;
   Status s = registry.Deserialize(blob, &out);
   EXPECT_FALSE(s.ok());
+
+  // Envelopes of the retired cache-blocked layouts, recorded from the last
+  // build that still registered them (one key added, 512 cells, k = 4).
+  // They must fail cleanly and say which filter is gone.
+  const struct {
+    const char* retired;
+    const char* hex;
+  } retired_blobs[] = {
+      {"blocked_bloom",
+      "53484252050d000000626c6f636b65645f626c6f6f6d01000000000000005348"
+      "4246010f00020000000000000400000000020000000700000000000000010000"
+      "0000000000000000000002000000000000000000000000000000200080000000"
+      "0000000000000000000000000000000000000000000000000000010000000000"
+      "0000000000"},
+      {"blocked_shbf_m",
+      "53484252050e000000626c6f636b65645f736862665f6d010000000000000053"
+      "4842460110000200000000000004000000390000000002000000070000000000"
+      "0000010000000000000000000000002200000000000000000000000000000000"
+      "0000000000000000000000000011000000000000000000000000000000000000"
+      "00000000000000000000"},
+      // A 2-shard wrapper: the base name is checked before any shard.
+      {"blocked_bloom",
+      "534842520515000000736861726465642f626c6f636b65645f626c6f6f6d1000"
+      "000002000000850000000000000053484252050d000000626c6f636b65645f62"
+      "6c6f6f6d010000000000000053484246010f0002000000000000040000000002"
+      "0000000700000000000000010000000000000000000000000200000000000000"
+      "0000000000000000200080000000000000000000000000000000000000000000"
+      "0000000000000000010000000000000000000085000000000000005348425205"
+      "0d000000626c6f636b65645f626c6f6f6d000000000000000053484246010f00"
+      "0200000000000004000000000200000007000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"},
+  };
+  for (const auto& [retired, hex] : retired_blobs) {
+    SCOPED_TRACE(retired);
+    Status retired_status = registry.Deserialize(FromHex(hex), &out);
+    EXPECT_EQ(retired_status.code(), Status::Code::kNotFound);
+    EXPECT_NE(retired_status.ToString().find(std::string("\"") + retired +
+                                             "\""),
+              std::string::npos)
+        << retired_status.ToString();
+  }
 }
 
 /// Forges a registry envelope carrying `name` over `payload` (the layout

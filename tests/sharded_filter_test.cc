@@ -146,15 +146,15 @@ TEST(ShardedFilterTest, BatchesOfEverySizeMatchPerKeyContains) {
   }
 }
 
-// The blocked and split fast paths run their configured prefetch group at
-// every filter size, and a sharded ensemble runs them once per shard
+// The split-block fast paths run their configured prefetch group at every
+// filter size, and a sharded ensemble runs them once per shard
 // sub-batch. Both must answer bit for bit like per-key Contains, from an
 // L1-sized filter to one past the last-level cache, for batches shorter
 // than, equal to and longer than the split-block group cap, under native
 // and forced-scalar dispatch. The sharded.shard_batch_keys samples of each
 // batch must be exactly its partition sizes: perfbench's
 // sharded.shard_skew is computed from them.
-TEST(ShardedFilterTest, BlockedAndSplitFastPathsMatchPerKeyAtEverySize) {
+TEST(ShardedFilterTest, SplitFastPathsMatchPerKeyAtEverySize) {
   const auto universe = Keys(4000, 0x6b1c);
   // Members and non-members interleaved (2049 is coprime to 4000).
   std::vector<std::string> queries;
@@ -164,8 +164,7 @@ TEST(ShardedFilterTest, BlockedAndSplitFastPathsMatchPerKeyAtEverySize) {
   obs::Histogram* const shard_keys =
       obs::MetricsRegistry::Global().GetHistogram("sharded.shard_batch_keys");
   const auto& registry = FilterRegistry::Global();
-  for (const char* name : {"blocked_bloom", "blocked_shbf_m",
-                           "split_block_bloom", "split_block_shbf_m"}) {
+  for (const char* name : {"split_block_bloom", "split_block_shbf_m"}) {
     // 16 KB, 1 MB and 6 MB of bits.
     for (size_t num_cells :
          {size_t{128} << 10, size_t{8} << 20, size_t{48} << 20}) {

@@ -38,31 +38,6 @@ TEST(SimdKernelTest, ForceScalarDemotesTheDispatcher) {
   EXPECT_EQ(simd::ActiveLevel(), simd::DetectedLevel());
 }
 
-TEST(SimdKernelTest, MaskTestManyMatchesScalarAtEveryLength) {
-  std::mt19937_64 rng(0x51bd1);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{7},
-                   size_t{8}, size_t{33}, size_t{257}}) {
-    std::vector<uint64_t> words(n), needs(n);
-    for (size_t i = 0; i < n; ++i) {
-      words[i] = rng();
-      // Half the lanes get a guaranteed-subset need (a hit), half a random
-      // two-bit pair pattern like the ShBF resolve uses (mostly misses).
-      if (i % 2 == 0) {
-        needs[i] = words[i] & rng();
-      } else {
-        needs[i] = 1ull | (1ull << (1 + rng() % 56));
-      }
-    }
-    std::vector<uint8_t> expected(n, 0xcc);
-    simd::MaskTestManyScalar(words.data(), needs.data(), n, expected.data());
-    UnderBothDispatchModes([&] {
-      std::vector<uint8_t> got(n, 0x33);
-      simd::MaskTestMany(words.data(), needs.data(), n, got.data());
-      ASSERT_EQ(got, expected) << "n=" << n;
-    });
-  }
-}
-
 TEST(SimdKernelTest, BlockSubsetTestMatchesScalarForEveryBlockWidth) {
   std::mt19937_64 rng(0xb10c);
   for (size_t num_words = 1; num_words <= 8; ++num_words) {
@@ -163,31 +138,6 @@ TEST(SimdKernelTest, ExtractFieldManyMatchesScalarIncludingStraddles) {
         simd::ExtractFieldMany(lo.data(), hi.data(), shifts.data(),
                                field_mask, n, got.data());
         ASSERT_EQ(got, expected) << "bits=" << field_bits << " n=" << n;
-      });
-    }
-  }
-}
-
-TEST(SimdKernelTest, MaskFromShiftsMatchesScalarAtEveryLength) {
-  std::mt19937_64 rng(0x5f1f7);
-  // Patterns the split-block filters actually shift: a single bit, the
-  // ShBF two-bit pair, and a dense byte. Shift 0 and 63 (the in-word
-  // extremes) always appear; lengths cover the 4-lane / 8-lane main loops
-  // plus their scalar tails.
-  for (uint64_t pattern :
-       {uint64_t{1}, uint64_t{1} | (uint64_t{1} << 9), uint64_t{0xff}}) {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{7},
-                     size_t{8}, size_t{9}, size_t{33}, size_t{64}}) {
-      std::vector<uint64_t> shifts(n);
-      for (size_t i = 0; i < n; ++i) {
-        shifts[i] = (i == 0) ? 0 : (i == 1 ? 63 : rng() % 64);
-      }
-      std::vector<uint64_t> expected(n);
-      simd::MaskFromShiftsScalar(shifts.data(), pattern, n, expected.data());
-      UnderBothDispatchModes([&] {
-        std::vector<uint64_t> got(n, ~0ull);
-        simd::MaskFromShifts(shifts.data(), pattern, n, got.data());
-        ASSERT_EQ(got, expected) << "pattern=" << pattern << " n=" << n;
       });
     }
   }

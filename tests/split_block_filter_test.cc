@@ -3,7 +3,8 @@
 // nothing else about them may drift from the catalog's contracts. Pinned
 // here: sub-word confinement at every legal sub_block_bits x k geometry
 // (including the block-edge shifts), probe masks bit-identical under native
-// and forced-scalar dispatch, no false negatives, FPR within 2x of the
+// and forced-scalar dispatch, no false negatives, one memory access per
+// query under the paper's cost model, FPR within 2x of the
 // unblocked base at a 100k absent-key sample, engine fast path identical to
 // the per-key loop for a cache-sized and a memory-sized filter,
 // native + registry serde round trips, merge-as-union, shared key probes
@@ -25,6 +26,7 @@
 #include "api/filter_registry.h"
 #include "baselines/split_block_bloom_filter.h"
 #include "core/bits.h"
+#include "core/query_stats.h"
 #include "core/simd.h"
 #include "engine/batch_query_engine.h"
 #include "shbf/split_block_shbf_membership.h"
@@ -149,7 +151,7 @@ TEST(SplitBlockShbfMTest, PairsStayInsideTheirSubWordsWithTwoBits) {
   }
 }
 
-// The mask-construction kernel feeds Add and Contains alike, so a dispatch
+// The mask construction feeds Add and Contains alike, so a dispatch
 // divergence would be invisible to a same-mode differential test. Pin the
 // raw probe masks: native and forced-scalar dispatch must produce identical
 // bytes at every sub-word width and k, including shifts that land a probe
@@ -200,7 +202,8 @@ TEST(SplitBlockFilterTest, ProbeMasksIdenticalUnderBothDispatchModes) {
 }
 
 // Differential check against the exact set: no false negatives ever, and a
-// sane false-positive count at 12 bits/key.
+// sane false-positive count at 12 bits/key. Under the paper's cost model
+// every query, member or not, is one memory access: the whole block.
 TEST(SplitBlockFilterTest, DifferentialAgainstExactSet) {
   const auto universe = Universe(0x5bd1f);
   for (const char* name : {"split_block_bloom", "split_block_shbf_m"}) {
@@ -215,8 +218,10 @@ TEST(SplitBlockFilterTest, DifferentialAgainstExactSet) {
       exact.insert(universe[i]);
     }
     size_t false_positives = 0;
+    QueryStats stats;
     for (const auto& key : universe) {
       const bool in_filter = filter->Contains(key);
+      ASSERT_EQ(filter->ContainsWithStats(key, &stats), in_filter) << key;
       if (exact.count(key)) {
         ASSERT_TRUE(in_filter) << "false negative: " << key;
       } else if (in_filter) {
@@ -224,6 +229,8 @@ TEST(SplitBlockFilterTest, DifferentialAgainstExactSet) {
       }
     }
     EXPECT_LT(false_positives, kNumKeys / 20) << "FPR collapsed";
+    EXPECT_EQ(stats.queries, universe.size());
+    EXPECT_EQ(stats.memory_accesses, universe.size());  // one block each
   }
 }
 
@@ -269,10 +276,9 @@ TEST(SplitBlockFilterTest, FprWithinTwiceTheUnblockedBase) {
 
 // The engine's split-block fast path must answer exactly like the per-key
 // loop under both dispatch modes, for a filter that fits in cache and one
-// of 6 MB that does not (both run the same staged prefetch groups), and at
-// both loop shapes: k = 8 stages probes (SplitBlockProbeLoop), k = 16
-// reaches kFuseLanes and takes the fused MaskFromShifts group kernel
-// (SplitBlockGroupLoop), which no other test selects.
+// of 6 MB that does not (both run the same staged prefetch groups), at the
+// default k = 8 and at k = 16, where every probe mask spans twice the
+// sub-words.
 TEST(SplitBlockFilterTest, EngineFastPathMatchesPerKeyAcrossBatchSizing) {
   const auto universe = Universe(0xe9f1);
   const auto& registry = FilterRegistry::Global();
