@@ -18,7 +18,6 @@
 
 #include "baselines/spectral_bloom_filter.h"
 #include "core/chained_hash_table.h"
-#include "engine/batch_query_engine.h"
 #include "shbf/scm_sketch.h"
 #include "shbf/shbf_multiplicity.h"
 #include "trace/trace_generator.h"
@@ -69,7 +68,7 @@ int main() {
               memory_bits, true_counts.size() * 21 * 8 / memory_bits);
 
   // 3) Query every flow's size and compare against the truth. The ShbfX
-  //    answers come from one engine-batched call over all flows; Spectral/
+  //    answers come from one batched call over all flows; Spectral/
   //    SCM saw every packet (not the capped counts), so compare those
   //    against the uncapped count where it matters.
   std::vector<std::string> flows;
@@ -79,11 +78,9 @@ int main() {
     flows.emplace_back(flow);
     truth.push_back(count);
   });
-  shbf::BatchQueryEngine engine({.batch_size = 32});
   std::vector<uint32_t> from_shbf;
-  engine.QueryCountBatch(shbf_counts, flows,
-                         shbf::MultiplicityReportPolicy::kSmallest,
-                         &from_shbf);
+  shbf_counts.QueryCountBatch(flows, shbf::MultiplicityReportPolicy::kSmallest,
+                              &from_shbf);
 
   size_t exact_shbf = 0;
   size_t exact_spectral = 0;
@@ -103,13 +100,12 @@ int main() {
   std::printf("   SCM sketch   %6.2f%%\n", 100.0 * exact_scm / considered);
 
   // 4) The measurement question the intro motivates: elephant flows —
-  //    again one engine-batched sweep, under the never-underestimating
+  //    again one batched sweep, under the never-underestimating
   //    largest-candidate policy.
   std::printf("\nflows with >= 40 packets according to ShbfX:\n");
   std::vector<uint32_t> estimates;
-  engine.QueryCountBatch(shbf_counts, flows,
-                         shbf::MultiplicityReportPolicy::kLargest,
-                         &estimates);
+  shbf_counts.QueryCountBatch(flows, shbf::MultiplicityReportPolicy::kLargest,
+                              &estimates);
   size_t elephants = 0;
   size_t confirmed = 0;
   for (size_t i = 0; i < flows.size(); ++i) {

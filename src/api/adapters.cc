@@ -34,6 +34,7 @@
 #include "baselines/km_bloom_filter.h"
 #include "baselines/one_mem_bf.h"
 #include "baselines/spectral_bloom_filter.h"
+#include "core/probe_loop.h"
 #include "core/serde.h"
 #include "shbf/split_block_shbf_membership.h"
 #include "shbf/counting_shbf_membership.h"
@@ -115,14 +116,30 @@ using serde::ReadKeyList;
 using serde::WriteKeyCountList;
 using serde::WriteKeyList;
 
+/// The batch hooks of every probe-protocol adapter: runs `impl`'s probe loop
+/// and stores `answer(probe)` for each key into `out`, or declines when the
+/// filter's k exceeds the loop's bound (a spec-built filter can), so the
+/// caller answers per key instead.
+template <typename Impl, typename Out, typename Answer>
+bool RunProbeHook(const Impl& impl, const std::vector<std::string_view>& keys,
+                  size_t group_size, std::vector<Out>* out, Answer&& answer) {
+  if (impl.num_hashes() > Impl::kMaxBatchHashes) return false;
+  out->resize(keys.size());
+  RunProbeLoop(impl, keys, group_size,
+               [&](size_t i, const typename Impl::Probe& probe) {
+                 (*out)[i] = answer(probe);
+               });
+  return true;
+}
+
 // ------------------------------------------------------------------------
 // Membership adapters
 // ------------------------------------------------------------------------
 
 /// The probe-protocol membership filters — ShbfM, BloomFilter and the two
 /// split-block layouts — differ only in the wrapped type and in the
-/// fast-path kind the batch engine dispatches on, so one template binds
-/// all four. A distinct `Impl` makes a distinct adapter type, so MergeFrom's
+/// BatchFastPath kind they report, so one template binds all four. A
+/// distinct `Impl` makes a distinct adapter type, so MergeFrom's
 /// dynamic_cast still refuses a peer of another layout.
 template <typename Impl, BatchFastPath::Kind kKind>
 class ProbeFilterAdapter : public AdapterCore<MembershipFilter, Impl> {
@@ -144,11 +161,14 @@ class ProbeFilterAdapter : public AdapterCore<MembershipFilter, Impl> {
                          QueryStats* stats) const override {
     return impl_.ContainsWithStats(key, stats);
   }
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override {
-    impl_.ContainsBatch(keys, results);
+  bool ProbeContainsBatch(const std::vector<std::string_view>& keys,
+                          size_t group_size,
+                          std::vector<uint8_t>* results) const override {
+    return RunProbeHook(impl_, keys, group_size, results,
+                        [this](const typename Impl::Probe& probe) -> uint8_t {
+                          return impl_.ResolveProbe(probe) ? 1 : 0;
+                        });
   }
-  using MembershipFilter::ContainsBatch;  // keep the view overload visible
   BatchFastPath batch_fast_path() const override { return {kKind, &impl_}; }
   uint32_t capabilities() const override {
     return kIncrementalAdd | kMergeable;
@@ -581,8 +601,29 @@ class ShbfXLazyAdapter : public MultiplicityFilter {
     EnsureBuilt();
     return impl_.QueryCount(key);
   }
+  // Both hooks resolve against the finished build. The membership view of
+  // a count is count > 0, as in MultiplicityFilter::Contains.
+  bool ProbeContainsBatch(const std::vector<std::string_view>& keys,
+                          size_t group_size,
+                          std::vector<uint8_t>* results) const override {
+    EnsureBuilt();
+    return RunProbeHook(impl_, keys, group_size, results,
+                        [this](const ShbfX::Probe& probe) -> uint8_t {
+                          return impl_.ResolveProbe(probe) > 0 ? 1 : 0;
+                        });
+  }
+  bool ProbeQueryCountBatch(const std::vector<std::string_view>& keys,
+                            size_t group_size,
+                            std::vector<uint64_t>* counts) const override {
+    EnsureBuilt();
+    return RunProbeHook(
+        impl_, keys, group_size, counts,
+        [this](const ShbfX::Probe& probe) -> uint64_t {
+          return impl_.ResolveProbe(probe);
+        });
+  }
   BatchFastPath batch_fast_path() const override {
-    EnsureBuilt();  // the engine resolves against the finished build
+    EnsureBuilt();
     return {BatchFastPath::Kind::kShbfX, &impl_};
   }
   void PrepareForConstReads() override { EnsureBuilt(); }
@@ -674,8 +715,31 @@ class ShbfALazyAdapter : public AssociationFilter {
     EnsureBuilt();
     return impl_.QueryWithStats(key, stats);
   }
+  // Both hooks resolve against the finished build. The membership view is
+  // any outcome but kNotFound, as in AssociationFilter::Contains.
+  bool ProbeContainsBatch(const std::vector<std::string_view>& keys,
+                          size_t group_size,
+                          std::vector<uint8_t>* results) const override {
+    EnsureBuilt();
+    return RunProbeHook(
+        impl_, keys, group_size, results,
+        [this](const ShbfA::Probe& probe) -> uint8_t {
+          return impl_.ResolveProbe(probe) != AssociationOutcome::kNotFound
+                     ? 1
+                     : 0;
+        });
+  }
+  bool ProbeQueryBatch(
+      const std::vector<std::string_view>& keys, size_t group_size,
+      std::vector<AssociationOutcome>* outcomes) const override {
+    EnsureBuilt();
+    return RunProbeHook(impl_, keys, group_size, outcomes,
+                        [this](const ShbfA::Probe& probe) {
+                          return impl_.ResolveProbe(probe);
+                        });
+  }
   BatchFastPath batch_fast_path() const override {
-    EnsureBuilt();  // the engine resolves against the finished build
+    EnsureBuilt();
     return {BatchFastPath::Kind::kShbfA, &impl_};
   }
   void PrepareForConstReads() override { EnsureBuilt(); }
@@ -1158,7 +1222,7 @@ Status RegisterAll(FilterRegistry* r) {
              const uint32_t k = std::min(
                  RoundUpToMultiple(spec.num_hashes < 2 ? 2 : spec.num_hashes,
                                    2),
-                 2 * SplitBlockShbfM::kMaxBatchPairs);
+                 SplitBlockShbfM::kMaxBatchHashes);
              const uint32_t pairs = k / 2;
              const uint32_t sub =
                  spec.sub_block_bits < 16 ? 16 : spec.sub_block_bits;

@@ -24,22 +24,25 @@
 #include <string_view>
 #include <vector>
 
+#include "core/probe_loop.h"
 #include "core/query_stats.h"
 #include "core/set_query_types.h"
 #include "core/status.h"
 
 namespace shbf {
 
-/// Tagged, type-erased pointer to a wrapped concrete filter for which the
-/// batch engine (src/engine/batch_query_engine.h) has a specialized
-/// non-virtual path: hash pre-compute, software prefetch, two-pass resolve.
-///
-/// Adapters whose wrapped class exposes the Probe protocol (ShbfM, Bloom-
-/// Filter, ShbfX, ShbfA and the two split-block layouts) return their
-/// concrete impl here; everything else
-/// returns the default `kNone` and the engine falls back to the virtual
-/// per-key interface. `impl` points at an instance of the class named by
-/// `kind` and is only valid while the owning filter is alive.
+/// Tagged, type-erased pointer to the concrete layout a probe-protocol
+/// filter wraps (ShbfM, BloomFilter, ShbfX, ShbfA and the two split-block
+/// layouts; wrappers that forward one, like MappedFilter, pass it on).
+/// Batching does not read it: every batch runs through the
+/// MembershipFilter::ProbeContainsBatch hook. It serves the readers that
+/// need the concrete class itself — MultiSetIndex shares one SplitBlockShbfM
+/// key probe across a probe family, ShbfServer::TryInline answers a small
+/// QUERY on the loop thread only for a filter whose reads take no locks of
+/// their own (`kind != kNone`), and the benchmark ladder times the concrete
+/// layout. Everything else returns the default `kNone`. `impl` points at an
+/// instance of the class named by `kind` and is only valid while the owning
+/// filter is alive.
 struct BatchFastPath {
   enum class Kind : uint8_t {
     kNone = 0,          ///< no specialized path; use the virtual interface
@@ -113,26 +116,38 @@ class MembershipFilter : public SetQueryFilter {
   }
 
   /// Batched membership query. `results` is resized to keys.size(); entry i
-  /// receives Contains(keys[i]). Implementations with software-prefetching
-  /// batch paths override this; the default is a scalar loop.
-  virtual void ContainsBatch(const std::vector<std::string>& keys,
+  /// receives Contains(keys[i]). Answers through the view overload.
+  void ContainsBatch(const std::vector<std::string>& keys,
+                     std::vector<uint8_t>* results) const {
+    ContainsBatch(std::vector<std::string_view>(keys.begin(), keys.end()),
+                  results);
+  }
+
+  /// View-indexed batch query: identical answers without requiring callers
+  /// to own the key bytes (the multi-set frontier descent passes views into
+  /// its caller's keys instead of copying survivors). The views must stay
+  /// valid for the duration of the call. The default runs the probe loop
+  /// (ProbeContainsBatch) at kDefaultProbeGroup and answers per key when
+  /// the filter has none; wrappers that combine several filters override it.
+  virtual void ContainsBatch(const std::vector<std::string_view>& keys,
                              std::vector<uint8_t>* results) const {
+    if (ProbeContainsBatch(keys, kDefaultProbeGroup, results)) return;
     results->resize(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
       (*results)[i] = Contains(keys[i]) ? 1 : 0;
     }
   }
 
-  /// View-indexed batch query: identical answers without requiring callers
-  /// to own the key bytes (the multi-set frontier descent passes views into
-  /// its caller's keys instead of copying survivors). The views must stay
-  /// valid for the duration of the call.
-  virtual void ContainsBatch(const std::vector<std::string_view>& keys,
-                             std::vector<uint8_t>* results) const {
-    results->resize(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      (*results)[i] = Contains(keys[i]) ? 1 : 0;
-    }
+  /// The batch hook: runs this filter's two-pass probe loop
+  /// (core/probe_loop.h) over `keys` in groups of `group_size`, resizes
+  /// `results` to keys.size() with entry i = Contains(keys[i]), and returns
+  /// true. Returns false, leaving `results` alone, when the filter has no
+  /// probe loop — or its k exceeds the loop's bound — so the caller answers
+  /// another way. BatchQueryEngine counts a true as a fast-path batch.
+  virtual bool ProbeContainsBatch(
+      const std::vector<std::string_view>& /*keys*/, size_t /*group_size*/,
+      std::vector<uint8_t>* /*results*/) const {
+    return false;
   }
 
   /// Removes one previously-added occurrence of `key`. Contract:
@@ -181,10 +196,9 @@ class MembershipFilter : public SetQueryFilter {
   /// may route past a still-dirty component. Default: nothing is deferred.
   virtual void PrepareForConstReads() {}
 
-  /// Escape hatch for the batch engine: adapters wrapping a concrete class
-  /// with a Probe protocol return a tagged pointer to it. Called once per
-  /// batch (not per key), so lazily-built adapters use it to force a rebuild
-  /// before handing out the pointer. Default: no fast path.
+  /// The concrete layout behind this filter, if it wraps one (see
+  /// BatchFastPath). Lazily-built adapters finish their build before
+  /// handing out the pointer. Default: none.
   virtual BatchFastPath batch_fast_path() const { return {}; }
 };
 
@@ -198,6 +212,14 @@ class MultiplicityFilter : public MembershipFilter {
 
   bool Contains(std::string_view key) const override {
     return QueryCount(key) > 0;
+  }
+
+  /// The count twin of ProbeContainsBatch: on true, `counts` holds
+  /// QueryCount(keys[i]) for every key. Default: no probe loop.
+  virtual bool ProbeQueryCountBatch(
+      const std::vector<std::string_view>& /*keys*/, size_t /*group_size*/,
+      std::vector<uint64_t>* /*counts*/) const {
+    return false;
   }
 };
 
@@ -221,6 +243,14 @@ class AssociationFilter : public MembershipFilter {
 
   bool Contains(std::string_view key) const override {
     return Query(key) != AssociationOutcome::kNotFound;
+  }
+
+  /// The association twin of ProbeContainsBatch: on true, `outcomes` holds
+  /// Query(keys[i]) for every key. Default: no probe loop.
+  virtual bool ProbeQueryBatch(
+      const std::vector<std::string_view>& /*keys*/, size_t /*group_size*/,
+      std::vector<AssociationOutcome>* /*outcomes*/) const {
+    return false;
   }
 };
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "core/probe_loop.h"
+
 namespace shbf {
 
 Status BloomFilter::Params::Validate() const {
@@ -122,23 +124,9 @@ bool BloomFilter::ResolveProbe(const Probe& probe) const {
 
 void BloomFilter::ContainsBatch(const std::vector<std::string>& keys,
                                 std::vector<uint8_t>* results) const {
-  results->resize(keys.size());
-  if (keys.empty()) return;
-  constexpr size_t kGroup = 16;
   SHBF_CHECK(family_.num_functions() <= kMaxBatchHashes)
       << "batch path supports k <= 64";
-
-  Probe probes[kGroup];
-  for (size_t start = 0; start < keys.size(); start += kGroup) {
-    size_t group = std::min(kGroup, keys.size() - start);
-    for (size_t g = 0; g < group; ++g) {
-      PrepareProbe(keys[start + g], &probes[g]);
-      PrefetchProbe(probes[g]);
-    }
-    for (size_t g = 0; g < group; ++g) {
-      (*results)[start + g] = ResolveProbe(probes[g]) ? 1 : 0;
-    }
-  }
+  RunProbeContains(*this, keys, kDefaultProbeGroup, results);
 }
 
 std::string BloomFilter::ToBytes() const {

@@ -9,6 +9,7 @@
 #ifndef SHBF_BASELINES_BLOOM_FILTER_H_
 #define SHBF_BASELINES_BLOOM_FILTER_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -66,12 +67,17 @@ class BloomFilter {
   bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
 
   /// Batched membership query with software prefetching (see
-  /// ShbfM::ContainsBatch). `results` is resized to keys.size().
+  /// ShbfM::ContainsBatch). `results` is resized to keys.size(). Requires
+  /// k <= kMaxBatchHashes.
   void ContainsBatch(const std::vector<std::string>& keys,
                      std::vector<uint8_t>* results) const;
 
   /// Largest k the probe/batch paths support.
   static constexpr uint32_t kMaxBatchHashes = 64;
+
+  /// Probe-loop constants (core/probe_loop.h); see ShbfM.
+  static constexpr size_t kProbeGroupCap = SIZE_MAX;
+  static constexpr bool kPrepareProbePrefetches = false;
 
   /// Precomputed query state for one key (hashes only, no memory touched);
   /// see ShbfM::Probe for the two-pass batch protocol.

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "core/bits.h"
+#include "core/probe_loop.h"
 #include "core/rng.h"
 #include "core/simd.h"
 
@@ -146,10 +147,6 @@ void SplitBlockBloomFilter::PrepareProbe(std::string_view key,
   DeriveProbe(key.data(), key.size(), &probe->block_word, probe->mask);
 }
 
-void SplitBlockBloomFilter::PrefetchProbe(const Probe& probe) const {
-  bits_.Prefetch(probe.block_word * 64);
-}
-
 bool SplitBlockBloomFilter::ResolveProbe(const Probe& probe) const {
   return simd::BlockSubsetTest(bits_.data() + probe.block_word * 8,
                                probe.mask, block_bits_ / 64);
@@ -158,20 +155,7 @@ bool SplitBlockBloomFilter::ResolveProbe(const Probe& probe) const {
 void SplitBlockBloomFilter::ContainsBatch(
     const std::vector<std::string>& keys,
     std::vector<uint8_t>* results) const {
-  results->resize(keys.size());
-  if (keys.empty()) return;
-  constexpr size_t kGroup = 16;
-  Probe probes[kGroup];
-  for (size_t start = 0; start < keys.size(); start += kGroup) {
-    const size_t group = std::min(kGroup, keys.size() - start);
-    for (size_t g = 0; g < group; ++g) {
-      PrepareProbe(keys[start + g], &probes[g]);
-      PrefetchProbe(probes[g]);
-    }
-    for (size_t g = 0; g < group; ++g) {
-      (*results)[start + g] = ResolveProbe(probes[g]) ? 1 : 0;
-    }
-  }
+  RunProbeContains(*this, keys, kDefaultProbeGroup, results);
 }
 
 void SplitBlockBloomFilter::Clear() {

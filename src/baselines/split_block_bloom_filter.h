@@ -90,12 +90,18 @@ class SplitBlockBloomFilter {
   /// access; two hash computations.
   bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
 
-  /// Batched membership query (two-pass prepare/prefetch/resolve groups).
+  /// Batched membership query through the two-pass probe loop
+  /// (core/probe_loop.h).
   void ContainsBatch(const std::vector<std::string>& keys,
                      std::vector<uint8_t>* results) const;
 
-  /// Precomputed query state — same shape as SplitBlockShbfM::Probe, so
-  /// the engine resolves both through one BlockSubsetTest path.
+  /// Probe-loop constants (core/probe_loop.h): one line per key, so groups
+  /// of 8 saturate the line-fill buffers, and PrepareProbe prefetches.
+  static constexpr size_t kProbeGroupCap = 8;
+  static constexpr bool kPrepareProbePrefetches = true;
+
+  /// Precomputed query state — same shape as SplitBlockShbfM::Probe: a
+  /// key's whole answer is one block mask and one BlockSubsetTest.
   struct Probe {
     size_t block_word;              ///< first word of the block
     uint64_t mask[kMaxBlockWords];  ///< bits the key needs set
@@ -104,9 +110,6 @@ class SplitBlockBloomFilter {
   /// Computes `key`'s block and probe mask (one hash pass + k shift/ORs);
   /// also issues the block prefetch, so the mask math overlaps the fetch.
   void PrepareProbe(std::string_view key, Probe* probe) const;
-
-  /// Hints the cache to fetch the (single) block `probe` reads.
-  void PrefetchProbe(const Probe& probe) const;
 
   /// Resolves a prepared probe; identical answer to Contains(key).
   bool ResolveProbe(const Probe& probe) const;

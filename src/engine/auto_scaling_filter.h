@@ -63,8 +63,7 @@ class AutoScalingFilter : public MembershipFilter {
   void Add(std::string_view key) override;
 
   bool Contains(std::string_view key) const override;
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override;
+  using MembershipFilter::ContainsBatch;
   void ContainsBatch(const std::vector<std::string_view>& keys,
                      std::vector<uint8_t>* results) const override;
 
@@ -114,11 +113,6 @@ class AutoScalingFilter : public MembershipFilter {
                             std::unique_ptr<MembershipFilter>* out);
 
  private:
-  /// Shared body of both ContainsBatch overloads.
-  template <typename Keys>
-  void ContainsBatchAnyKeys(const Keys& keys,
-                            std::vector<uint8_t>* results) const;
-
   struct Generation {
     std::unique_ptr<MembershipFilter> filter;
     size_t adds = 0;

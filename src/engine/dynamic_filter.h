@@ -85,15 +85,20 @@ class DynamicFilter : public MembershipFilter {
   /// delta ∪ active; no false negatives at any point between epochs.
   bool Contains(std::string_view key) const override;
 
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override;
+  using MembershipFilter::ContainsBatch;
   void ContainsBatch(const std::vector<std::string_view>& keys,
                      std::vector<uint8_t>* results) const override;
 
-  /// The active filter's fast path is only the whole answer when the delta
+  /// The active filter's probe loop is only the whole answer when the delta
   /// holds no bits at all (cancelled pending adds leave residual bits until
   /// the fold — every query path must keep consulting them identically);
-  /// otherwise the engine must go through ContainsBatch.
+  /// otherwise the hook declines and callers go through ContainsBatch.
+  bool ProbeContainsBatch(const std::vector<std::string_view>& keys,
+                          size_t group_size,
+                          std::vector<uint8_t>* results) const override {
+    return !delta_in_use() &&
+           active_->ProbeContainsBatch(keys, group_size, results);
+  }
   BatchFastPath batch_fast_path() const override {
     return delta_in_use() ? BatchFastPath{} : active_->batch_fast_path();
   }
@@ -143,11 +148,6 @@ class DynamicFilter : public MembershipFilter {
                             std::unique_ptr<MembershipFilter>* out);
 
  private:
-  /// Shared body of both ContainsBatch overloads.
-  template <typename Keys>
-  void ContainsBatchAnyKeys(const Keys& keys,
-                            std::vector<uint8_t>* results) const;
-
   void Fold();
   void MaybeFold() {
     // Cancelled adds spend delta bits too, so they consume epoch budget.

@@ -16,8 +16,8 @@ ShardedMembershipFilter::ShardedMembershipFilter(
       sharded_(shards.size(), [&shards](size_t i) {
         return std::move(shards[i]);
       }) {
-  // Route each shard's sub-batch through the engine so the non-virtual
-  // prefetching path engages per shard.
+  // Route each shard's sub-batch through the engine so each shard's probe
+  // loop runs at the spec's group size and counts in the engine metrics.
   sharded_.SetBatchFn([this](const MembershipFilter& filter,
                              const std::vector<std::string_view>& keys,
                              std::vector<uint8_t>* results) {

@@ -265,8 +265,8 @@ class FilterRegistry;
 /// MembershipFilter facade over ShardedFilter<MembershipFilter>: the object
 /// FilterRegistry::Create returns when FilterSpec::shards > 1. Batched
 /// queries route through a BatchQueryEngine sized by FilterSpec::batch_size,
-/// so each shard's sub-batch takes the non-virtual prefetching fast path
-/// when its filter offers one.
+/// so each shard's sub-batch runs its filter's probe loop at that group
+/// size when the filter has one.
 class ShardedMembershipFilter : public MembershipFilter {
  public:
   /// Envelope names are "sharded/<base>"; see name().
@@ -293,11 +293,7 @@ class ShardedMembershipFilter : public MembershipFilter {
     return sharded_.Contains(key);
   }
 
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override {
-    sharded_.ContainsBatch(keys, results);
-  }
-
+  using MembershipFilter::ContainsBatch;
   void ContainsBatch(const std::vector<std::string_view>& keys,
                      std::vector<uint8_t>* results) const override {
     sharded_.ContainsBatch(keys, results);

@@ -251,10 +251,12 @@ class ShbfServer {
 
   /// The event loop's inline hook (loop thread): answers a QUERY frame
   /// through HandleFrame when it comes after HELLO, carries at most
-  /// kInlineMaxKeys keys, names a filter offering a batch_fast_path()
-  /// (whose reads take no locks of their own), and that filter's reader
-  /// lock is free right now (try_lock_shared). Declines everything else —
-  /// the loop thread never waits on a lock, a disk or a peer.
+  /// kInlineMaxKeys keys, names a filter reporting a probe-protocol layout
+  /// (batch_fast_path().kind != kNone: its reads take no locks of their
+  /// own; the batch itself runs through the engine's probe hook), and that
+  /// filter's reader lock is free right now (try_lock_shared). Declines
+  /// everything else — the loop thread never waits on a lock, a disk or a
+  /// peer.
   std::optional<server::EventLoop::FrameResult> TryInline(
       std::string_view body, bool* hello_done,
       const server::EventLoop::FrameContext& context);

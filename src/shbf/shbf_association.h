@@ -20,6 +20,7 @@
 #ifndef SHBF_SHBF_SHBF_ASSOCIATION_H_
 #define SHBF_SHBF_SHBF_ASSOCIATION_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -79,6 +80,10 @@ class ShbfA {
 
   /// Largest k the probe/batch paths support.
   static constexpr uint32_t kMaxBatchHashes = 64;
+
+  /// Probe-loop constants (core/probe_loop.h); see ShbfM.
+  static constexpr size_t kProbeGroupCap = SIZE_MAX;
+  static constexpr bool kPrepareProbePrefetches = false;
 
   /// Precomputed query state for one key (hashes only, no filter memory
   /// touched); see ShbfM::Probe for the two-pass batch protocol.

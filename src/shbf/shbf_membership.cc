@@ -1,7 +1,9 @@
 #include "shbf/shbf_membership.h"
 
-#include <algorithm>
+#include <utility>
 #include <vector>
+
+#include "core/probe_loop.h"
 
 namespace shbf {
 
@@ -146,24 +148,8 @@ bool ShbfM::ResolveProbe(const Probe& probe) const {
 
 void ShbfM::ContainsBatch(const std::vector<std::string>& keys,
                           std::vector<uint8_t>* results) const {
-  results->resize(keys.size());
-  if (keys.empty()) return;
-  constexpr size_t kGroup = 16;
-  SHBF_CHECK(num_hashes_ / 2 <= kMaxBatchPairs) << "batch path supports k <= 64";
-
-  Probe probes[kGroup];
-  for (size_t start = 0; start < keys.size(); start += kGroup) {
-    size_t group = std::min(kGroup, keys.size() - start);
-    // Phase 1: hash everything and prefetch every window's cache line.
-    for (size_t g = 0; g < group; ++g) {
-      PrepareProbe(keys[start + g], &probes[g]);
-      PrefetchProbe(probes[g]);
-    }
-    // Phase 2: test (windows are now resident or in flight).
-    for (size_t g = 0; g < group; ++g) {
-      (*results)[start + g] = ResolveProbe(probes[g]) ? 1 : 0;
-    }
-  }
+  SHBF_CHECK(num_hashes_ <= kMaxBatchHashes) << "batch path supports k <= 64";
+  RunProbeContains(*this, keys, kDefaultProbeGroup, results);
 }
 
 std::string ShbfM::ToBytes() const {

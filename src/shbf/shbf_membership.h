@@ -14,6 +14,7 @@
 #ifndef SHBF_SHBF_SHBF_MEMBERSHIP_H_
 #define SHBF_SHBF_SHBF_MEMBERSHIP_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -66,20 +67,27 @@ class ShbfM {
   /// (both bits share a window), one hash per function actually evaluated.
   bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
 
-  /// Batched membership query: computes all probe positions for a group of
-  /// keys first, prefetches their cache lines, then tests — overlapping
-  /// hash computation with memory latency. `results` is resized to
-  /// keys.size(); entry i receives Contains(keys[i]).
+  /// Batched membership query through the two-pass probe loop
+  /// (core/probe_loop.h): hashes and prefetches a group of keys before
+  /// testing any, overlapping hash computation with memory latency.
+  /// `results` is resized to keys.size(); entry i receives
+  /// Contains(keys[i]). Requires k <= kMaxBatchHashes.
   void ContainsBatch(const std::vector<std::string>& keys,
                      std::vector<uint8_t>* results) const;
 
-  /// Largest k/2 the probe/batch paths support (k <= 64).
+  /// Largest k/2 (and k) the probe/batch paths support.
   static constexpr uint32_t kMaxBatchPairs = 32;
+  static constexpr uint32_t kMaxBatchHashes = 2 * kMaxBatchPairs;
+
+  /// Probe-loop constants (core/probe_loop.h): k gathers per key keep the
+  /// caller's group, and PrefetchProbe is a separate step.
+  static constexpr size_t kProbeGroupCap = SIZE_MAX;
+  static constexpr bool kPrepareProbePrefetches = false;
 
   /// Precomputed query state for one key: every hash evaluated, no filter
-  /// memory touched yet. The engine's two-pass batch loop fills a group of
-  /// these (PrepareProbe), prefetches their windows (PrefetchProbe), and
-  /// only then resolves (ResolveProbe) — by which point the cache lines are
+  /// memory touched yet. The two-pass probe loop fills a group of these
+  /// (PrepareProbe), prefetches their windows (PrefetchProbe), and only
+  /// then resolves (ResolveProbe) — by which point the cache lines are
   /// resident or in flight.
   struct Probe {
     uint64_t need;                 ///< bit 0 | bit o(e): the pair pattern

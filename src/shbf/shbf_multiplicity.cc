@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "core/probe_loop.h"
+
 namespace shbf {
 
 Status ShbfXParams::Validate() const {
@@ -210,6 +212,22 @@ uint32_t ShbfX::ResolveProbe(const Probe& probe,
   QueryStats ignored;
   return QueryCountImpl([&](uint32_t i) { return probe.bases[i]; }, policy,
                         &ignored);
+}
+
+void ShbfX::QueryCountBatch(const std::vector<std::string>& keys,
+                            MultiplicityReportPolicy policy,
+                            std::vector<uint32_t>* counts) const {
+  counts->resize(keys.size());
+  if (num_hashes_ > kMaxBatchHashes) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      (*counts)[i] = QueryCount(keys[i], policy);
+    }
+    return;
+  }
+  RunProbeLoop(*this, keys, kDefaultProbeGroup,
+               [&](size_t i, const Probe& probe) {
+                 (*counts)[i] = ResolveProbe(probe, policy);
+               });
 }
 
 void ShbfX::Clear() {

@@ -23,6 +23,7 @@
 #ifndef SHBF_SHBF_SHBF_MULTIPLICITY_H_
 #define SHBF_SHBF_SHBF_MULTIPLICITY_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -82,8 +83,20 @@ class ShbfX {
                                MultiplicityReportPolicy policy,
                                QueryStats* stats) const;
 
+  /// Batched QueryCount under `policy` through the two-pass probe loop
+  /// (core/probe_loop.h). `counts` is resized to keys.size(); entry i
+  /// receives QueryCount(keys[i], policy). Past kMaxBatchHashes it answers
+  /// per key.
+  void QueryCountBatch(const std::vector<std::string>& keys,
+                       MultiplicityReportPolicy policy,
+                       std::vector<uint32_t>* counts) const;
+
   /// Largest k the probe/batch paths support.
   static constexpr uint32_t kMaxBatchHashes = 64;
+
+  /// Probe-loop constants (core/probe_loop.h); see ShbfM.
+  static constexpr size_t kProbeGroupCap = SIZE_MAX;
+  static constexpr bool kPrepareProbePrefetches = false;
 
   /// Precomputed query state for one key (hashes only, no filter memory
   /// touched); see ShbfM::Probe for the two-pass batch protocol.

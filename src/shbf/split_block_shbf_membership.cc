@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/probe_loop.h"
 #include "core/rng.h"
 #include "core/simd.h"
 
@@ -210,10 +211,6 @@ void SplitBlockShbfM::PrepareProbe(std::string_view key, Probe* probe) const {
   bits_.Prefetch(probe->block_word * 64);
 }
 
-void SplitBlockShbfM::PrefetchProbe(const Probe& probe) const {
-  bits_.Prefetch(probe.block_word * 64);
-}
-
 bool SplitBlockShbfM::ResolveProbe(const Probe& probe) const {
   return simd::BlockSubsetTest(bits_.data() + probe.block_word * 8,
                                probe.mask, block_bits_ / 64);
@@ -221,20 +218,7 @@ bool SplitBlockShbfM::ResolveProbe(const Probe& probe) const {
 
 void SplitBlockShbfM::ContainsBatch(const std::vector<std::string>& keys,
                                     std::vector<uint8_t>* results) const {
-  results->resize(keys.size());
-  if (keys.empty()) return;
-  constexpr size_t kGroup = 16;
-  Probe probes[kGroup];
-  for (size_t start = 0; start < keys.size(); start += kGroup) {
-    const size_t group = std::min(kGroup, keys.size() - start);
-    for (size_t g = 0; g < group; ++g) {
-      PrepareProbe(keys[start + g], &probes[g]);
-      PrefetchProbe(probes[g]);
-    }
-    for (size_t g = 0; g < group; ++g) {
-      (*results)[start + g] = ResolveProbe(probes[g]) ? 1 : 0;
-    }
-  }
+  RunProbeContains(*this, keys, kDefaultProbeGroup, results);
 }
 
 void SplitBlockShbfM::Clear() {

@@ -52,8 +52,9 @@ class SplitBlockShbfM {
   static constexpr uint32_t kMaxBlockBits = 512;
   static constexpr uint32_t kMaxBlockWords = kMaxBlockBits / 64;
 
-  /// Largest k/2 the probe/batch paths support (k <= 64).
+  /// Largest k/2 (and k) the probe/batch paths support.
   static constexpr uint32_t kMaxBatchPairs = 32;
+  static constexpr uint32_t kMaxBatchHashes = 2 * kMaxBatchPairs;
 
   struct Params {
     size_t num_bits = 0;      ///< m; rounded up to a multiple of block_bits
@@ -93,9 +94,15 @@ class SplitBlockShbfM {
   /// access; two hash computations.
   bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
 
-  /// Batched membership query (two-pass prepare/prefetch/resolve groups).
+  /// Batched membership query through the two-pass probe loop
+  /// (core/probe_loop.h).
   void ContainsBatch(const std::vector<std::string>& keys,
                      std::vector<uint8_t>* results) const;
+
+  /// Probe-loop constants (core/probe_loop.h): one line per key, so groups
+  /// of 8 saturate the line-fill buffers, and PrepareProbe prefetches.
+  static constexpr size_t kProbeGroupCap = 8;
+  static constexpr bool kPrepareProbePrefetches = true;
 
   /// A key's probe with the filter size factored out. The mask depends only
   /// on the probe family (hash algorithm, seed, k, block_bits,
@@ -134,9 +141,8 @@ class SplitBlockShbfM {
   /// but num_bits matches.
   bool SameProbeFamily(const SplitBlockShbfM& other) const;
 
-  /// Precomputed query state — same shape as SplitBlockBloomFilter::Probe,
-  /// so the engine resolves both through one BlockSubsetTest path with no
-  /// gather staging.
+  /// Precomputed query state — same shape as SplitBlockBloomFilter::Probe:
+  /// one BlockSubsetTest per key, no gather staging.
   struct Probe {
     size_t block_word;              ///< first word of the block
     uint64_t mask[kMaxBlockWords];  ///< every pair pattern, pre-positioned
@@ -145,9 +151,6 @@ class SplitBlockShbfM {
   /// Computes `key`'s block and pair-pattern mask (PrepareKeyProbe, then
   /// BlockWordOf) and issues the block prefetch.
   void PrepareProbe(std::string_view key, Probe* probe) const;
-
-  /// Hints the cache to fetch the (single) block `probe` reads.
-  void PrefetchProbe(const Probe& probe) const;
 
   /// Resolves a prepared probe; identical answer to Contains(key).
   bool ResolveProbe(const Probe& probe) const;

@@ -6,8 +6,9 @@
 // deserialization, so open cost is independent of filter size and the
 // kernel shares one physical copy of the pages across every process
 // mapping the image (tests/mapped_filter_test.cc forks readers to prove
-// it). Queries (Contains / ContainsBatch / the engine's batch_fast_path)
-// forward to the inner filter and are bit-identical to its heap twin.
+// it). Queries (Contains and the ProbeContainsBatch hook, which the
+// inherited ContainsBatch runs) forward to the inner filter and are
+// bit-identical to its heap twin.
 //
 // The wrapper is strictly read-only: capabilities() == 0, Add/Clear
 // CHECK-fail (the server refuses ADD on a read-only serve instead of ever
@@ -58,13 +59,10 @@ class MappedFilter final : public MembershipFilter {
                          QueryStats* stats) const override {
     return inner_->ContainsWithStats(key, stats);
   }
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override {
-    inner_->ContainsBatch(keys, results);
-  }
-  void ContainsBatch(const std::vector<std::string_view>& keys,
-                     std::vector<uint8_t>* results) const override {
-    inner_->ContainsBatch(keys, results);
+  bool ProbeContainsBatch(const std::vector<std::string_view>& keys,
+                          size_t group_size,
+                          std::vector<uint8_t>* results) const override {
+    return inner_->ProbeContainsBatch(keys, group_size, results);
   }
   BatchFastPath batch_fast_path() const override {
     return inner_->batch_fast_path();

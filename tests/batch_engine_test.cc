@@ -1,12 +1,14 @@
 // Engine-vs-per-key differential: BatchQueryEngine must be bit-identical to
-// the scalar interface for every registered filter — the fast paths are an
+// the scalar interface for every registered filter — the probe loop is an
 // execution strategy, never a semantic change. Also pins down that the six
-// probe-protocol structures actually expose their fast path (a silently
-// dropped fast path would keep answers right and throughput wrong), and
-// that the string_view batch overloads answer like the string ones.
+// probe-protocol structures actually run their probe loop (a silently
+// dropped loop would keep answers right and throughput wrong), that a k
+// past the loop's bound answers per key through every wrapper, and that
+// the string_view batch overloads answer like the string ones.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -15,8 +17,11 @@
 #include "api/filter_registry.h"
 #include "api/set_catalog.h"
 #include "core/cpu_features.h"
+#include "engine/auto_scaling_filter.h"
 #include "engine/batch_query_engine.h"
+#include "engine/dynamic_filter.h"
 #include "multiset/multi_set_index.h"
+#include "obs/metrics.h"
 #include "shbf/shbf_multiplicity.h"
 #include "trace/trace_generator.h"
 
@@ -132,27 +137,200 @@ TEST(BatchEngineTest, StringViewBatchOverloadsMatchStringPaths) {
   }
 }
 
-TEST(BatchEngineTest, ProbeProtocolFiltersExposeTheirFastPath) {
+// Per-key answers of `filter` over `keys`.
+std::vector<uint8_t> PerKey(const MembershipFilter& filter,
+                            const std::vector<std::string>& keys) {
+  std::vector<uint8_t> expected(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    expected[i] = filter.Contains(keys[i]) ? 1 : 0;
+  }
+  return expected;
+}
+
+// Every batch entry point — the engine's string and view overloads at three
+// group sizes and the filter's own two ContainsBatch overloads — must equal
+// the per-key loop.
+void ExpectBatchesMatchPerKey(const MembershipFilter& filter,
+                              const std::vector<std::string>& keys) {
+  const std::vector<uint8_t> expected = PerKey(filter, keys);
+  const std::vector<std::string_view> views(keys.begin(), keys.end());
+  std::vector<uint8_t> got;
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
+    SCOPED_TRACE(batch_size);
+    BatchQueryEngine engine({.batch_size = batch_size});
+    engine.ContainsBatch(filter, keys, &got);
+    ASSERT_EQ(got, expected);
+    engine.ContainsBatch(filter, views, &got);
+    ASSERT_EQ(got, expected);
+  }
+  filter.ContainsBatch(keys, &got);
+  ASSERT_EQ(got, expected);
+  filter.ContainsBatch(views, &got);
+  ASSERT_EQ(got, expected);
+}
+
+// A spec can ask for more hashes than the probe loop's arrays hold. The
+// filter's batch hook must then decline, so every path answers per key
+// and none reaches the concrete ContainsBatch, whose k bound CHECK-aborts.
+TEST(BatchEngineTest, OverBoundKAnswersPerKeyThroughEveryWrapper) {
+  const auto universe = Universe(0x0b0d);
   const auto& registry = FilterRegistry::Global();
   const struct {
     const char* name;
-    BatchFastPath::Kind kind;
-  } expected[] = {
-      {"shbf_m", BatchFastPath::Kind::kShbfM},
-      {"bloom", BatchFastPath::Kind::kBloom},
-      {"shbf_x", BatchFastPath::Kind::kShbfX},
-      {"shbf_a", BatchFastPath::Kind::kShbfA},
-      {"split_block_bloom", BatchFastPath::Kind::kSplitBlockBloom},
-      {"split_block_shbf_m", BatchFastPath::Kind::kSplitBlockShbfM},
+    uint32_t k;
+  } cases[] = {{"shbf_m", 66}, {"bloom", 65}};
+  for (const auto& [name, k] : cases) {
+    SCOPED_TRACE(name);
+    FilterSpec spec = EngineSpec(0x0b0d);
+    spec.num_hashes = k;
+    std::unique_ptr<MembershipFilter> plain;
+    ASSERT_TRUE(registry.Create(name, spec, &plain).ok());
+    for (size_t i = 0; i < kNumKeys; ++i) plain->Add(universe[i]);
+    {
+      SCOPED_TRACE("plain");
+      ExpectBatchesMatchPerKey(*plain, universe);
+    }
+    {
+      SCOPED_TRACE("mapped");
+      const std::string path =
+          ::testing::TempDir() + "/over_bound_k_" + name + ".shbi";
+      ASSERT_TRUE(registry.SaveMapped(*plain, path).ok());
+      std::unique_ptr<MembershipFilter> mapped;
+      ASSERT_TRUE(registry.OpenMapped(path, &mapped).ok());
+      ExpectBatchesMatchPerKey(*mapped, universe);
+      EXPECT_EQ(PerKey(*mapped, universe), PerKey(*plain, universe));
+      std::remove(path.c_str());
+    }
+    {
+      SCOPED_TRACE("sharded");
+      FilterSpec sharded_spec = spec;
+      sharded_spec.shards = 4;
+      std::unique_ptr<MembershipFilter> sharded;
+      ASSERT_TRUE(registry.Create(name, sharded_spec, &sharded).ok());
+      for (size_t i = 0; i < kNumKeys; ++i) sharded->Add(universe[i]);
+      ExpectBatchesMatchPerKey(*sharded, universe);
+    }
+    {
+      SCOPED_TRACE("dynamic");
+      FilterSpec dynamic_spec = spec;
+      dynamic_spec.delta_capacity = 2 * kNumKeys;  // no fold while adding
+      std::unique_ptr<MembershipFilter> filter;
+      ASSERT_TRUE(registry.Create(name, dynamic_spec, &filter).ok());
+      for (size_t i = 0; i < kNumKeys; ++i) filter->Add(universe[i]);
+      ExpectBatchesMatchPerKey(*filter, universe);  // delta in use
+      auto* dynamic = dynamic_cast<DynamicFilter*>(filter.get());
+      ASSERT_NE(dynamic, nullptr);
+      dynamic->Flush();
+      ExpectBatchesMatchPerKey(*filter, universe);  // active side only
+    }
+  }
+}
+
+// The dynamic and auto-scaling wrappers answer batches through their
+// components' ContainsBatch, which runs the same probe loop as the engine.
+// Over the split-block layouts that loop caps its group and skips the
+// second prefetch; neither may change an answer.
+TEST(BatchEngineTest, DynamicAndScalingSplitBlockBatchesMatchPerKey) {
+  const auto universe = Universe(0xd1a9);
+  const auto& registry = FilterRegistry::Global();
+  for (const char* name : {"split_block_bloom", "split_block_shbf_m"}) {
+    SCOPED_TRACE(name);
+    {
+      SCOPED_TRACE("dynamic");
+      FilterSpec spec = EngineSpec(0xd1a9);
+      spec.delta_capacity = 2 * kNumKeys;
+      std::unique_ptr<MembershipFilter> filter;
+      ASSERT_TRUE(registry.Create(name, spec, &filter).ok());
+      for (size_t i = 0; i < kNumKeys / 2; ++i) filter->Add(universe[i]);
+      auto* dynamic = dynamic_cast<DynamicFilter*>(filter.get());
+      ASSERT_NE(dynamic, nullptr);
+      dynamic->Flush();
+      for (size_t i = kNumKeys / 2; i < kNumKeys; ++i) filter->Add(universe[i]);
+      ExpectBatchesMatchPerKey(*filter, universe);  // delta in use
+      dynamic->Flush();
+      ExpectBatchesMatchPerKey(*filter, universe);
+    }
+    {
+      SCOPED_TRACE("scaling");
+      FilterSpec spec = EngineSpec(0xd1a9);
+      spec.auto_scale = true;
+      spec.expected_keys = kNumKeys / 8;  // several generations
+      std::unique_ptr<MembershipFilter> filter;
+      ASSERT_TRUE(registry.Create(name, spec, &filter).ok());
+      for (size_t i = 0; i < kNumKeys; ++i) filter->Add(universe[i]);
+      auto* scaling = dynamic_cast<AutoScalingFilter*>(filter.get());
+      ASSERT_NE(scaling, nullptr);
+      EXPECT_GT(scaling->num_generations(), 1u);
+      ExpectBatchesMatchPerKey(*filter, universe);
+    }
+  }
+}
+
+// Engine batches, split by whether the filter's hook ran its probe loop.
+struct EngineBatches {
+  uint64_t fastpath = 0;
+  uint64_t fallback = 0;
+};
+
+EngineBatches CountEngineBatches(const MembershipFilter& filter,
+                                 const std::vector<std::string>& keys) {
+  auto& registry = obs::MetricsRegistry::Global();
+  const obs::MetricsSnapshot before = registry.Snapshot();
+  std::vector<uint8_t> results;
+  BatchQueryEngine().ContainsBatch(filter, keys, &results);
+  const obs::MetricsSnapshot after = registry.Snapshot();
+  auto delta = [&](const char* counter) {
+    return after.CounterValue(counter) - before.CounterValue(counter);
   };
-  for (const auto& [name, kind] : expected) {
+  return {delta("engine.fastpath_batches_total"),
+          delta("engine.virtual_batches_total")};
+}
+
+// A dropped probe loop keeps answers right and throughput wrong, so pin
+// it: each of the six probe-protocol filters — and the mapped and dynamic
+// (no delta in use) wrappers that forward their hook — must count its
+// engine batch as a fast-path batch. A filter without a probe loop counts
+// as a virtual one.
+TEST(BatchEngineTest, ProbeProtocolFiltersCountAsFastPathBatches) {
+  if (!obs::kCompiledIn || !obs::Enabled()) {
+    GTEST_SKIP() << "metrics are compiled out or disabled";
+  }
+  const auto universe = Universe(0xfa57);
+  const auto& registry = FilterRegistry::Global();
+  for (const char* name : {"shbf_m", "bloom", "shbf_x", "shbf_a",
+                           "split_block_bloom", "split_block_shbf_m"}) {
     SCOPED_TRACE(name);
     std::unique_ptr<MembershipFilter> filter;
     ASSERT_TRUE(registry.Create(name, EngineSpec(1), &filter).ok());
-    const BatchFastPath fp = filter->batch_fast_path();
-    EXPECT_EQ(fp.kind, kind);
-    EXPECT_NE(fp.impl, nullptr);
+    for (size_t i = 0; i < kNumKeys; ++i) filter->Add(universe[i]);
+    EngineBatches counted = CountEngineBatches(*filter, universe);
+    EXPECT_EQ(counted.fastpath, 1u);
+    EXPECT_EQ(counted.fallback, 0u);
+
+    FilterSpec dynamic_spec = EngineSpec(1);
+    dynamic_spec.delta_capacity = 64;
+    std::unique_ptr<MembershipFilter> dynamic;
+    ASSERT_TRUE(registry.Create(name, dynamic_spec, &dynamic).ok());
+    counted = CountEngineBatches(*dynamic, universe);
+    EXPECT_EQ(counted.fastpath, 1u) << "dynamic";
+    EXPECT_EQ(counted.fallback, 0u) << "dynamic";
+
+    if (!registry.SupportsMapped(name)) continue;
+    const std::string path =
+        ::testing::TempDir() + "/fastpath_count_" + name + ".shbi";
+    ASSERT_TRUE(registry.SaveMapped(*filter, path).ok());
+    std::unique_ptr<MembershipFilter> mapped;
+    ASSERT_TRUE(registry.OpenMapped(path, &mapped).ok());
+    counted = CountEngineBatches(*mapped, universe);
+    EXPECT_EQ(counted.fastpath, 1u) << "mapped";
+    EXPECT_EQ(counted.fallback, 0u) << "mapped";
+    std::remove(path.c_str());
   }
+  std::unique_ptr<MembershipFilter> cuckoo;
+  ASSERT_TRUE(registry.Create("cuckoo", EngineSpec(1), &cuckoo).ok());
+  const EngineBatches counted = CountEngineBatches(*cuckoo, universe);
+  EXPECT_EQ(counted.fastpath, 0u);
+  EXPECT_EQ(counted.fallback, 1u);
 }
 
 TEST(BatchEngineTest, QueryCountBatchMatchesPerKeyForMultiplicityFilters) {
@@ -215,11 +393,10 @@ TEST(BatchEngineTest, ConcreteShbfXOverloadHonoursReportPolicy) {
   for (size_t i = 0; i < kNumKeys; ++i) {
     filter.InsertWithCount(universe[i], 1 + i % 8);
   }
-  BatchQueryEngine engine({.batch_size = 32});
   for (auto policy : {MultiplicityReportPolicy::kLargest,
                       MultiplicityReportPolicy::kSmallest}) {
     std::vector<uint32_t> batched;
-    engine.QueryCountBatch(filter, universe, policy, &batched);
+    filter.QueryCountBatch(universe, policy, &batched);
     ASSERT_EQ(batched.size(), universe.size());
     for (size_t i = 0; i < universe.size(); ++i) {
       ASSERT_EQ(batched[i], filter.QueryCount(universe[i], policy));
